@@ -208,13 +208,16 @@ TraceFormat detect_trace_format(const std::string& text) {
     if (c == '[') return TraceFormat::kChromeTrace;
     if (c != '{') return TraceFormat::kUnknown;
     // A '{' opens either one big Chrome-trace object or the first line of
-    // span JSONL; the cheap discriminator is whether the first line parses
-    // as a standalone object.
+    // span JSONL. The first line parsing as a standalone object is not
+    // enough: telemetry::chrome_trace writes the whole trace on one line,
+    // so an object carrying "traceEvents" is still a Chrome trace.
     const std::size_t eol = text.find('\n');
     const std::string first =
         eol == std::string::npos ? text : text.substr(0, eol);
     json::Value v;
-    if (json::parse(first, v) && v.is_object()) return TraceFormat::kSpanJsonl;
+    if (json::parse(first, v) && v.is_object() && !v.has("traceEvents")) {
+      return TraceFormat::kSpanJsonl;
+    }
     return TraceFormat::kChromeTrace;
   }
   return TraceFormat::kUnknown;
@@ -237,8 +240,9 @@ bool ingest_trace(const std::string& text, IngestResult& out,
     return true;
   }
   json::Value root;
-  if (!json::parse(text, root)) {
-    error = "malformed Chrome-trace JSON";
+  std::string parse_error;
+  if (!json::parse(text, root, &parse_error)) {
+    error = "malformed Chrome-trace JSON: " + parse_error;
     return false;
   }
   if (root.is_array()) return ingest_chrome_events(root, out, error);

@@ -36,8 +36,8 @@ struct IngestResult {
 };
 
 /// Detected on content, not file extension: a leading '{' with a "type"
-/// line per row is span JSONL; '[' or an object with "traceEvents" is a
-/// Chrome/Kineto trace.
+/// line per row is span JSONL; '[' or an object with "traceEvents" (even
+/// one written on a single line) is a Chrome/Kineto trace.
 enum class TraceFormat { kSpanJsonl, kChromeTrace, kUnknown };
 TraceFormat detect_trace_format(const std::string& text);
 

@@ -48,15 +48,25 @@ namespace {
 
 class Parser {
  public:
+  static constexpr int kMaxDepth = 256;  // also named in json.h
   explicit Parser(const std::string& text) : s_(text) {}
 
   bool parse(Value& out) {
-    if (!value(out)) return false;
+    if (!value(out)) return fail("malformed JSON");
     skip_ws();
-    return pos_ == s_.size();
+    return pos_ == s_.size() || fail("trailing characters");
   }
 
+  const std::string& error() const { return error_; }
+
  private:
+  /// Records the first failure with its byte offset; returns false.
+  bool fail(const char* what) {
+    if (error_.empty()) {
+      error_ = std::string(what) + " at byte " + std::to_string(pos_);
+    }
+    return false;
+  }
   void skip_ws() {
     while (pos_ < s_.size() &&
            std::isspace(static_cast<unsigned char>(s_[pos_]))) {
@@ -175,76 +185,91 @@ class Parser {
       out.kind = Value::Kind::kString;
       return string_body(out.str);
     }
-    if (c == '[') {
-      ++pos_;
-      out.kind = Value::Kind::kArray;
-      out.array = std::make_shared<std::vector<Value>>();
-      skip_ws();
-      if (pos_ < s_.size() && s_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      while (true) {
-        Value element;
-        if (!value(element)) return false;
-        out.array->push_back(std::move(element));
-        skip_ws();
-        if (pos_ >= s_.size()) return false;
-        if (s_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        if (s_[pos_] == ']') {
-          ++pos_;
-          return true;
-        }
-        return false;
-      }
-    }
-    if (c == '{') {
-      ++pos_;
-      out.kind = Value::Kind::kObject;
-      out.object = std::make_shared<std::map<std::string, Value>>();
-      skip_ws();
-      if (pos_ < s_.size() && s_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      while (true) {
-        skip_ws();
-        std::string key;
-        if (!string_body(key)) return false;
-        skip_ws();
-        if (pos_ >= s_.size() || s_[pos_] != ':') return false;
-        ++pos_;
-        Value element;
-        if (!value(element)) return false;
-        (*out.object)[key] = std::move(element);
-        skip_ws();
-        if (pos_ >= s_.size()) return false;
-        if (s_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        if (s_[pos_] == '}') {
-          ++pos_;
-          return true;
-        }
-        return false;
-      }
+    if (c == '[' || c == '{') {
+      // Recursion depth is the only unbounded resource: cap it so hostile
+      // input fails with a message instead of overflowing the stack.
+      if (depth_ == kMaxDepth) return fail("nesting deeper than 256 levels");
+      ++depth_;
+      const bool ok = c == '[' ? array(out) : object(out);
+      --depth_;
+      return ok;
     }
     return number_body(out);
+  }
+  bool array(Value& out) {
+    ++pos_;  // '['
+    out.kind = Value::Kind::kArray;
+    out.array = std::make_shared<std::vector<Value>>();
+    skip_ws();
+    if (pos_ < s_.size() && s_[pos_] == ']') {
+      ++pos_;
+      return true;
+    }
+    while (true) {
+      Value element;
+      if (!value(element)) return false;
+      out.array->push_back(std::move(element));
+      skip_ws();
+      if (pos_ >= s_.size()) return false;
+      if (s_[pos_] == ',') {
+        ++pos_;
+        continue;
+      }
+      if (s_[pos_] == ']') {
+        ++pos_;
+        return true;
+      }
+      return false;
+    }
+  }
+  bool object(Value& out) {
+    ++pos_;  // '{'
+    out.kind = Value::Kind::kObject;
+    out.object = std::make_shared<std::map<std::string, Value>>();
+    skip_ws();
+    if (pos_ < s_.size() && s_[pos_] == '}') {
+      ++pos_;
+      return true;
+    }
+    while (true) {
+      skip_ws();
+      std::string key;
+      if (!string_body(key)) return false;
+      skip_ws();
+      if (pos_ >= s_.size() || s_[pos_] != ':') return false;
+      ++pos_;
+      Value element;
+      if (!value(element)) return false;
+      (*out.object)[key] = std::move(element);
+      skip_ws();
+      if (pos_ >= s_.size()) return false;
+      if (s_[pos_] == ',') {
+        ++pos_;
+        continue;
+      }
+      if (s_[pos_] == '}') {
+        ++pos_;
+        return true;
+      }
+      return false;
+    }
   }
 
   const std::string& s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
+  std::string error_;
 };
 
 }  // namespace
 
-bool parse(const std::string& text, Value& out) {
+bool parse(const std::string& text, Value& out, std::string* error) {
   Value v;
-  if (!Parser(text).parse(v)) return false;
+  Parser parser(text);
+  if (!parser.parse(v)) {
+    if (error != nullptr) *error = parser.error();
+    return false;
+  }
   out = std::move(v);
   return true;
 }

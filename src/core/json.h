@@ -7,9 +7,8 @@
 //    name with a quote or control character cannot corrupt an artifact;
 //  * Value/parse() — a small recursive-descent parser for the JSON the
 //    repo itself emits (flight-recorder dumps, span JSONL, outcome
-//    records). It supports the full value grammar with numbers held as
-//    double; it is for tooling (msdiag) and artifacts, not a general
-//    internet-facing parser.
+//    records) and for external Chrome/Kineto traces. It supports the full
+//    value grammar with numbers held as double and bounds nesting depth.
 #pragma once
 
 #include <map>
@@ -53,6 +52,10 @@ struct Value {
 
 /// Parses one JSON value. Returns false (and leaves `out` untouched) on
 /// malformed input instead of throwing — artifact loaders report the line.
-bool parse(const std::string& text, Value& out);
+/// Arrays and objects nest at most 256 deep, so hostile input cannot
+/// overflow the stack. On failure `error` (if non-null) receives what went
+/// wrong and its byte offset, e.g. "nesting deeper than 256 levels at
+/// byte 256".
+bool parse(const std::string& text, Value& out, std::string* error = nullptr);
 
 }  // namespace ms::json

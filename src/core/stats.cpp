@@ -52,15 +52,24 @@ double Percentiles::quantile(double q) const {
 
 // --------------------------------------------------------- HdrHistogram
 
-HdrHistogram::HdrHistogram()
-    : counts_(static_cast<std::size_t>(kBucketsPerDecade) * kDecades, 0) {}
+void HdrHistogram::Header::merge(const Header& other) {
+  underflow += other.underflow;
+  overflow += other.overflow;
+  total += other.total;
+  sum += other.sum;
+  min = std::min(min, other.min);
+  max = std::max(max, other.max);
+}
+
+HdrHistogram::HdrHistogram() : counts_(kBuckets, 0) {}
+
+HdrHistogram::HdrHistogram(const Header& header)
+    : counts_(kBuckets, 0), head_(header) {}
 
 std::size_t HdrHistogram::bucket_index(double x) {
   const double pos = std::log10(x / kRangeLo) * kBucketsPerDecade;
   // Clamp: floating rounding near the range edges must not step outside.
-  constexpr std::size_t kLast =
-      static_cast<std::size_t>(kBucketsPerDecade) * kDecades - 1;
-  return std::min(static_cast<std::size_t>(std::max(pos, 0.0)), kLast);
+  return std::min(static_cast<std::size_t>(std::max(pos, 0.0)), kBuckets - 1);
 }
 
 double HdrHistogram::bucket_lo(std::size_t i) {
@@ -70,14 +79,14 @@ double HdrHistogram::bucket_lo(std::size_t i) {
 
 void HdrHistogram::add(double x, std::uint64_t count) {
   if (count == 0) return;
-  total_ += count;
-  sum_ += x * static_cast<double>(count);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
+  head_.total += count;
+  head_.sum += x * static_cast<double>(count);
+  head_.min = std::min(head_.min, x);
+  head_.max = std::max(head_.max, x);
   if (!(x >= kRangeLo)) {  // includes NaN, <= 0 and tiny values
-    underflow_ += count;
+    head_.underflow += count;
   } else if (x >= kRangeHi) {
-    overflow_ += count;
+    head_.overflow += count;
   } else {
     counts_[bucket_index(x)] += count;
   }
@@ -85,43 +94,38 @@ void HdrHistogram::add(double x, std::uint64_t count) {
 
 void HdrHistogram::merge(const HdrHistogram& other) {
   for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  underflow_ += other.underflow_;
-  overflow_ += other.overflow_;
-  total_ += other.total_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
+  head_.merge(other.head_);
 }
 
 double HdrHistogram::quantile(double q) const {
-  if (total_ == 0) return 0.0;
+  if (head_.total == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total_);
-  double seen = static_cast<double>(underflow_);
-  if (target <= seen && underflow_ > 0) return min_;
+  const double target = q * static_cast<double>(head_.total);
+  double seen = static_cast<double>(head_.underflow);
+  if (target <= seen && head_.underflow > 0) return head_.min;
   for (std::size_t i = 0; i < counts_.size(); ++i) {
     if (counts_[i] == 0) continue;
     const double next = seen + static_cast<double>(counts_[i]);
     if (target <= next) {
       const double frac = (target - seen) / static_cast<double>(counts_[i]);
       const double lo = bucket_lo(i), hi = bucket_lo(i + 1);
-      return std::clamp(lo + frac * (hi - lo), min_, max_);
+      return std::clamp(lo + frac * (hi - lo), head_.min, head_.max);
     }
     seen = next;
   }
-  return max_;
+  return head_.max;
 }
 
 std::vector<HdrHistogram::Bucket> HdrHistogram::nonzero_buckets() const {
   std::vector<Bucket> out;
-  if (underflow_ > 0) out.push_back({0.0, kRangeLo, underflow_});
+  if (head_.underflow > 0) out.push_back({0.0, kRangeLo, head_.underflow});
   for (std::size_t i = 0; i < counts_.size(); ++i) {
     if (counts_[i] == 0) continue;
     out.push_back({bucket_lo(i), bucket_lo(i + 1), counts_[i]});
   }
-  if (overflow_ > 0) {
+  if (head_.overflow > 0) {
     out.push_back({kRangeHi, std::numeric_limits<double>::infinity(),
-                   overflow_});
+                   head_.overflow});
   }
   return out;
 }

@@ -87,24 +87,45 @@ class HdrHistogram {
   static constexpr double kRangeHi = 1e12;
   static constexpr int kBucketsPerDecade = 32;
   static constexpr int kDecades = 21;  // log10(kRangeHi / kRangeLo)
+  static constexpr std::size_t kBuckets =
+      static_cast<std::size_t>(kBucketsPerDecade) * kDecades;
+
+  /// Everything but the sized buckets: out-of-range counts, the sample
+  /// total and the running sum/min/max. Header::merge is the non-bucket
+  /// half of merge(), so sparse encodings of this layout
+  /// (telemetry::SparseHist) merge exactly like the dense form.
+  struct Header {
+    std::uint64_t underflow = 0, overflow = 0, total = 0;
+    double sum = 0.0;
+    double min = std::numeric_limits<double>::infinity();
+    double max = -std::numeric_limits<double>::infinity();
+
+    void merge(const Header& other);
+  };
 
   HdrHistogram();
+  /// Raw rebuild: `header` verbatim and every sized bucket empty until
+  /// set_bucket_count() fills it. Together with header() and
+  /// bucket_count() this is a lossless round trip.
+  explicit HdrHistogram(const Header& header);
 
   void add(double x, std::uint64_t count = 1);
   void merge(const HdrHistogram& other);
 
-  std::uint64_t total() const { return total_; }
-  bool empty() const { return total_ == 0; }
-  double sum() const { return sum_; }
-  double mean() const { return total_ ? sum_ / static_cast<double>(total_) : 0.0; }
-  double min() const { return total_ ? min_ : 0.0; }
-  double max() const { return total_ ? max_ : 0.0; }
+  std::uint64_t total() const { return head_.total; }
+  bool empty() const { return head_.total == 0; }
+  double sum() const { return head_.sum; }
+  double mean() const {
+    return head_.total ? head_.sum / static_cast<double>(head_.total) : 0.0;
+  }
+  double min() const { return head_.total ? head_.min : 0.0; }
+  double max() const { return head_.total ? head_.max : 0.0; }
   /// Samples that fell outside [kRangeLo, kRangeHi): still counted in
   /// total()/sum() but not in any sized bucket, so quantiles near the tail
   /// silently clamp. Exporters surface these so a mis-scaled metric (e.g.
   /// nanoseconds recorded as seconds) is visible instead of a quiet lie.
-  std::uint64_t underflow_count() const { return underflow_; }
-  std::uint64_t overflow_count() const { return overflow_; }
+  std::uint64_t underflow_count() const { return head_.underflow; }
+  std::uint64_t overflow_count() const { return head_.overflow; }
 
   /// q in [0, 1]; value interpolated within the bucket holding that rank.
   double quantile(double q) const;
@@ -118,15 +139,20 @@ class HdrHistogram {
   };
   std::vector<Bucket> nonzero_buckets() const;
 
+  /// Raw layout access for sparse encodings; i indexes the sized buckets
+  /// (< kBuckets) in ascending value order.
+  const Header& header() const { return head_; }
+  std::uint64_t bucket_count(std::size_t i) const { return counts_[i]; }
+  void set_bucket_count(std::size_t i, std::uint64_t count) {
+    counts_[i] = count;
+  }
+
  private:
   static std::size_t bucket_index(double x);
   static double bucket_lo(std::size_t i);
 
   std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0, overflow_ = 0, total_ = 0;
-  double sum_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
+  Header head_;
 };
 
 /// A (x, y) series, used for loss curves and MFU-over-time plots.

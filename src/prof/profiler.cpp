@@ -61,20 +61,27 @@ struct CellSums {
   }
 };
 
+namespace {
+
+// Owner-thread update of a relaxed cell field: a plain load and store, not
+// a lock-prefixed RMW (see the Cell comment in profiler.h).
+void bump(std::atomic<std::uint64_t>& field, std::uint64_t by) {
+  field.store(field.load(std::memory_order_relaxed) + by,
+              std::memory_order_relaxed);
+}
+
+}  // namespace
+
 void Cell::record(std::uint64_t dur_ns) {
-  count.fetch_add(1, std::memory_order_relaxed);
-  total_ns.fetch_add(dur_ns, std::memory_order_relaxed);
-  std::uint64_t cur = min_ns.load(std::memory_order_relaxed);
-  while (dur_ns < cur &&
-         !min_ns.compare_exchange_weak(cur, dur_ns,
-                                       std::memory_order_relaxed)) {
+  bump(count, 1);
+  bump(total_ns, dur_ns);
+  if (dur_ns < min_ns.load(std::memory_order_relaxed)) {
+    min_ns.store(dur_ns, std::memory_order_relaxed);
   }
-  cur = max_ns.load(std::memory_order_relaxed);
-  while (dur_ns > cur &&
-         !max_ns.compare_exchange_weak(cur, dur_ns,
-                                       std::memory_order_relaxed)) {
+  if (dur_ns > max_ns.load(std::memory_order_relaxed)) {
+    max_ns.store(dur_ns, std::memory_order_relaxed);
   }
-  hist[hist_bucket(dur_ns)].fetch_add(1, std::memory_order_relaxed);
+  bump(hist[hist_bucket(dur_ns)], 1);
 }
 
 /// Per-thread profiler state. Cells are lazily allocated (most threads
@@ -283,10 +290,7 @@ void scope_closed(ThreadState& t, Cell* cell, ScopeId id, WallNs start,
                   std::uint64_t dur_ns) {
   t.open_stack.pop_back();
   cell->record(dur_ns);
-  if (!t.open_stack.empty()) {
-    t.open_stack.back()->child_ns.fetch_add(dur_ns,
-                                            std::memory_order_relaxed);
-  }
+  if (!t.open_stack.empty()) bump(t.open_stack.back()->child_ns, dur_ns);
   if (tracing()) {
     Profiler::instance().append_trace(
         t, TraceEvent{id, start, static_cast<WallNs>(dur_ns), t.tid});

@@ -23,9 +23,13 @@
 //   - ON but disabled  : one relaxed atomic load + branch per scope. This
 //                        is the default state — benches and tests run with
 //                        the profiler dormant unless they opt in.
-//   - ON and enabled   : two wallclock reads + a handful of relaxed
-//                        atomic RMWs per scope (<3% on fig11, budgeted in
-//                        DESIGN.md).
+//   - ON and enabled   : up to two wallclock reads + a handful of
+//                        relaxed atomic loads and stores per scope, no
+//                        lock-prefixed RMW (<3% on fig11, budgeted in
+//                        DESIGN.md). Back-to-back scopes can share one
+//                        clock read (ScopeTimer::stop + the start-taking
+//                        constructor), as the engine loop does at every
+//                        pop/event boundary.
 //
 // Determinism: the profiler observes, never steers. No simulated timestamp
 // may depend on a WallNs; the digest-invariance tests (prof on/off/absent
@@ -143,8 +147,11 @@ namespace internal {
 struct ThreadState;
 
 /// Per-(thread, scope) accumulator. All fields relaxed atomics: the owner
-/// thread is the only writer, snapshot/reset read and zero them from other
-/// threads, and TSan must stay silent for the MS_PROF=ON TSan CI leg.
+/// thread is the only sampler, so it updates with a plain load + store
+/// (no lock-prefixed RMW or CAS loop); snapshot/reset read and zero them
+/// from other threads, and TSan must stay silent for the MS_PROF=ON TSan
+/// CI leg. A reset() racing a live sample may lose that reset, which is
+/// within the "approximate while sampling" contract of snapshot().
 struct alignas(64) Cell {
   std::atomic<std::uint64_t> count{0};
   std::atomic<std::uint64_t> total_ns{0};
@@ -168,21 +175,30 @@ void scope_closed(ThreadState& t, Cell* cell, ScopeId id, WallNs start,
 /// the scope id is dynamic (the engine's per-event-kind attribution).
 class ScopeTimer {
  public:
-  explicit ScopeTimer(ScopeId id) {
+  explicit ScopeTimer(ScopeId id) : ScopeTimer(id, 0) {}
+  /// Opens at `start` when it is non-zero: a clock read the caller just
+  /// took, normally the previous scope's stop(), so two back-to-back
+  /// scopes cost one read at their boundary. 0 reads the clock.
+  ScopeTimer(ScopeId id, WallNs start) {
     if (id != kInvalidScope && enabled()) {
       id_ = id;
       thread_ = &internal::tls();
       cell_ = internal::cell_for(*thread_, id);
       internal::scope_opened(*thread_, cell_);
-      start_ = wallclock_ns();
+      start_ = start != 0 ? start : wallclock_ns();
     }
   }
-  ~ScopeTimer() {
-    if (cell_ != nullptr) {
-      const WallNs end = wallclock_ns();
-      internal::scope_closed(*thread_, cell_, id_, start_,
-                             static_cast<std::uint64_t>(end - start_));
-    }
+  ~ScopeTimer() { stop(); }
+  /// Closes the scope now and returns the clock read that closed it, or 0
+  /// when it was not timing (dormant profiler, invalid id, already
+  /// stopped).
+  WallNs stop() {
+    if (cell_ == nullptr) return 0;
+    const WallNs end = wallclock_ns();
+    internal::scope_closed(*thread_, cell_, id_, start_,
+                           static_cast<std::uint64_t>(end - start_));
+    cell_ = nullptr;
+    return end;
   }
   ScopeTimer(const ScopeTimer&) = delete;
   ScopeTimer& operator=(const ScopeTimer&) = delete;

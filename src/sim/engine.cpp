@@ -16,6 +16,11 @@ prof::ScopeId default_event_scope() {
   return id;
 }
 
+prof::ScopeId pop_scope() {
+  static const prof::ScopeId id = prof::register_scope("engine.pop");
+  return id;
+}
+
 }  // namespace
 #endif
 
@@ -50,13 +55,18 @@ bool Engine::cancel(EventId id) {
   return true;
 }
 
-bool Engine::pop_next(Entry& out) {
-  MS_PROF_SCOPE("engine.pop");
+bool Engine::pop_next(Entry& out, WallNs& boundary) {
+#if defined(MS_PROF_ENABLED) && MS_PROF_ENABLED
+  prof::ScopeTimer timer(pop_scope(), boundary);
+#endif
   while (!queue_.empty()) {
     Entry e = queue_.top();
     queue_.pop();
     if (callbacks_.count(e.id)) {
       out = e;
+#if defined(MS_PROF_ENABLED) && MS_PROF_ENABLED
+      boundary = timer.stop();  // the event scope opens on this read
+#endif
       return true;
     }
     ++tombstone_pops_;  // tombstoned (cancelled) — skip
@@ -64,7 +74,7 @@ bool Engine::pop_next(Entry& out) {
   return false;
 }
 
-void Engine::fire(const Entry& e) {
+void Engine::fire(const Entry& e, WallNs& boundary) {
   MS_AUDIT("sim.engine", "time_monotonic", e.t >= now_,
            "event " + std::to_string(e.t) + "ns fired with clock at " +
                std::to_string(now_) + "ns");
@@ -95,42 +105,47 @@ void Engine::fire(const Entry& e) {
     // Per-event handler-cost attribution: tagged events under their kind
     // scope, the rest under "engine.event". One relaxed load + branch
     // when the profiler is dormant.
-    prof::ScopeTimer timer(cb.kind != prof::kInvalidScope
-                               ? cb.kind
-                               : default_event_scope());
+    prof::ScopeTimer timer(
+        cb.kind != prof::kInvalidScope ? cb.kind : default_event_scope(),
+        boundary);
     cb.fn();
+    boundary = timer.stop();
   }
 #else
+  (void)boundary;
   cb.fn();
 #endif
 }
 
 bool Engine::step() {
   Entry e;
-  if (!pop_next(e)) return false;
-  fire(e);
+  WallNs boundary = 0;
+  if (!pop_next(e, boundary)) return false;
+  fire(e, boundary);
   return true;
 }
 
 void Engine::run() {
   MS_PROF_SCOPE("engine.run");
   stopped_ = false;
-  while (!stopped_ && step()) {
-  }
+  Entry e;
+  WallNs boundary = 0;
+  while (!stopped_ && pop_next(e, boundary)) fire(e, boundary);
 }
 
 void Engine::run_until(TimeNs t) {
   MS_PROF_SCOPE("engine.run_until");
   stopped_ = false;
   Entry e;
+  WallNs boundary = 0;
   while (!stopped_) {
-    if (!pop_next(e)) break;
+    if (!pop_next(e, boundary)) break;
     if (e.t > t) {
       // Push it back; it stays pending.
       queue_.push(e);
       break;
     }
-    fire(e);
+    fire(e, boundary);
   }
   // A stop() mid-window leaves the clock at the last executed event so
   // resuming does not skip the untouched remainder of the window.

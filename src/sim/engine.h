@@ -110,9 +110,17 @@ class Engine {
     }
   };
 
-  bool pop_next(Entry& out);
+  // `boundary` threads the self-profiler's clock reads through the event
+  // loop so each scope boundary costs one read, not two: the read that
+  // closed the previous event opens "engine.pop", the read that closes
+  // the pop opens the event scope, and the event's closing read is handed
+  // back for the next pop. 0 means "read the clock" (first pop, profiler
+  // dormant); it never influences simulated state.
+
+  /// Pops the next live entry.
+  bool pop_next(Entry& out, WallNs& boundary);
   /// Audits ordering invariants, folds the digest, runs the callback.
-  void fire(const Entry& e);
+  void fire(const Entry& e, WallNs& boundary);
 
   TimeNs now_ = 0;
   EventId next_id_ = 1;

@@ -3,7 +3,8 @@
 #include "prof/profiler.h"
 
 #include <algorithm>
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 namespace ms::telemetry {
 
@@ -11,11 +12,26 @@ namespace {
 
 int ceil_div(int a, int b) { return (a + b - 1) / b; }
 
+// A bad config or rank is a wiring bug with no sane fallback (a bad rank
+// would index past leaves_), so it aborts with a message in every build
+// mode, like the kind clash in SketchValue::merge, instead of through an
+// assert that NDEBUG compiles out.
+[[noreturn]] void die(const char* what, long long value) {
+  std::fprintf(stderr, "AggregationTree: %s (got %lld)\n", what, value);
+  std::abort();
+}
+
 }  // namespace
 
 AggregationTree::AggregationTree(const AggTreeConfig& cfg)
     : cfg_(cfg), model_(cfg.cluster, cfg.network_efficiency) {
-  assert(cfg_.ranks > 0 && cfg_.ranks_per_host > 0 && cfg_.hosts_per_pod > 0);
+  if (cfg_.ranks <= 0) die("ranks must be positive", cfg_.ranks);
+  if (cfg_.ranks_per_host <= 0) {
+    die("ranks_per_host must be positive", cfg_.ranks_per_host);
+  }
+  if (cfg_.hosts_per_pod <= 0) {
+    die("hosts_per_pod must be positive", cfg_.hosts_per_pod);
+  }
   hosts_ = ceil_div(cfg_.ranks, cfg_.ranks_per_host);
   pods_ = ceil_div(hosts_, cfg_.hosts_per_pod);
   leaves_.resize(static_cast<std::size_t>(cfg_.ranks));
@@ -25,7 +41,7 @@ AggregationTree::AggregationTree(const AggTreeConfig& cfg)
 }
 
 void AggregationTree::submit(int rank, SketchSnapshot snapshot) {
-  assert(rank >= 0 && rank < cfg_.ranks);
+  if (rank < 0 || rank >= cfg_.ranks) die("submit rank out of range", rank);
   leaves_[static_cast<std::size_t>(rank)] = std::move(snapshot);
   rank_dirty_[static_cast<std::size_t>(rank)] = 1;
 }

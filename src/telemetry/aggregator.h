@@ -80,13 +80,18 @@ struct FlushReport {
 
 class AggregationTree {
  public:
+  /// Aborts with a message (in every build mode) unless ranks,
+  /// ranks_per_host and hosts_per_pod are all positive.
   explicit AggregationTree(const AggTreeConfig& cfg);
 
   int hosts() const { return hosts_; }
   int pods() const { return pods_; }
 
   /// Replaces rank's pending sketch (ranks re-snapshot every interval) and
-  /// marks the rank's host/pod subtree dirty for the next flush.
+  /// marks the rank's host/pod subtree dirty for the next flush. Taking the
+  /// snapshot by value is cheap: a copy shares the sketch's map (see
+  /// telemetry/sketch.h). Aborts with a message on a rank outside
+  /// [0, ranks).
   void submit(int rank, SketchSnapshot snapshot);
 
   /// Merges every level bottom-up, charges traffic and latency, and

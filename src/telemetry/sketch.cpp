@@ -23,6 +23,50 @@ void GaugeStat::merge(const GaugeStat& other) {
   count += other.count;
 }
 
+SparseHist::SparseHist(const HdrHistogram& hist) : head_(hist.header()) {
+  for (std::size_t i = 0; i < HdrHistogram::kBuckets; ++i) {
+    const std::uint64_t count = hist.bucket_count(i);
+    if (count != 0) entries_.push_back({static_cast<std::uint32_t>(i), count});
+  }
+}
+
+void SparseHist::merge(const SparseHist& other) {
+  head_.merge(other.head_);
+  const std::vector<Entry>& add = other.entries_;
+  // Union size first. Once a subtree has seen every rank, other's buckets
+  // are usually a subset of ours and the merge is an in-place add.
+  std::size_t n = entries_.size();
+  for (std::size_t i = 0, j = 0; j < add.size(); ++j) {
+    while (i < entries_.size() && entries_[i].index < add[j].index) ++i;
+    if (i == entries_.size() || entries_[i].index != add[j].index) ++n;
+  }
+  // Two-pointer walk from the back: the write cursor k never passes the
+  // read cursor i, so no entry is overwritten before it is read.
+  std::size_t i = entries_.size(), j = add.size(), k = n;
+  entries_.resize(n);
+  while (j > 0) {
+    Entry next = add[j - 1];
+    if (i > 0 && entries_[i - 1].index >= next.index) {
+      if (entries_[i - 1].index == next.index) {
+        next.count += entries_[i - 1].count;
+        --j;
+      } else {
+        next = entries_[i - 1];
+      }
+      --i;
+    } else {
+      --j;
+    }
+    entries_[--k] = next;
+  }
+}
+
+HdrHistogram SparseHist::dense() const {
+  HdrHistogram out(head_);
+  for (const Entry& e : entries_) out.set_bucket_count(e.index, e.count);
+  return out;
+}
+
 void SketchValue::merge(const SketchValue& other) {
   if (kind != other.kind) std::abort();  // one kind per name (registry law)
   switch (kind) {
@@ -32,9 +76,24 @@ void SketchValue::merge(const SketchValue& other) {
   }
 }
 
+const std::map<std::string, SketchValue>& SketchSnapshot::series() const {
+  static const std::map<std::string, SketchValue> kEmpty;
+  return state_ ? state_->series : kEmpty;
+}
+
+std::map<std::string, SketchValue>& SketchSnapshot::mutable_series() {
+  if (state_ == nullptr || state_.use_count() > 1) {
+    auto fresh = std::make_shared<State>();  // memo starts stale
+    if (state_ != nullptr) fresh->series = state_->series;  // copy on write
+    state_ = std::move(fresh);
+  } else {
+    state_->encoded_bytes.store(-1, std::memory_order_relaxed);
+  }
+  return state_->series;
+}
+
 SketchValue& SketchSnapshot::slot(const std::string& key, MetricKind kind) {
-  encoded_bytes_cache_ = -1;  // handing out a mutable slot stales the memo
-  auto [it, inserted] = series_.try_emplace(key);
+  auto [it, inserted] = mutable_series().try_emplace(key);
   if (inserted) {
     it->second.kind = kind;
   } else if (it->second.kind != kind) {
@@ -53,49 +112,64 @@ void SketchSnapshot::add_gauge(const std::string& key, double value) {
 
 void SketchSnapshot::add_histogram(const std::string& key,
                                    const HdrHistogram& hist) {
-  slot(key, MetricKind::kHistogram).hist.merge(hist);
+  slot(key, MetricKind::kHistogram).hist.merge(SparseHist(hist));
 }
 
 void SketchSnapshot::merge(const SketchSnapshot& other) {
-  if (other.series_.empty()) return;
-  encoded_bytes_cache_ = -1;
+  if (other.empty()) return;
+  if (empty()) {
+    state_ = other.state_;  // adopt: share the map and its size memo
+    return;
+  }
+  // Holding other's map keeps it alive and, when it is our own (a.merge(a)
+  // or a merge with a copy of a), makes mutable_series() clone, so the
+  // walk below reads an unmodified original.
+  const std::shared_ptr<const State> src = other.state_;
+  auto& series = mutable_series();
   // Both maps iterate in key order, so one synchronized walk suffices:
   // amortized O(1) per series instead of an O(log n) string-keyed lookup
   // for every merged key. This is the hot loop of the aggregation tree
   // (12k leaves x hundreds of series per fig11 flush).
-  auto it = series_.begin();
-  for (const auto& [key, value] : other.series_) {
-    while (it != series_.end() && it->first < key) ++it;
-    if (it != series_.end() && it->first == key) {
+  auto it = series.begin();
+  for (const auto& [key, value] : src->series) {
+    int order = 1;  // one string compare per step: <0 advance, 0 match
+    while (it != series.end() && (order = it->first.compare(key)) < 0) ++it;
+    if (order == 0) {
       it->second.merge(value);  // aborts on kind clash (registry law)
       ++it;
     } else {
-      it = series_.emplace_hint(it, key, value);
+      it = series.emplace_hint(it, key, value);
       ++it;
     }
   }
 }
 
 Bytes SketchSnapshot::encoded_bytes() const {
-  if (encoded_bytes_cache_ >= 0) return encoded_bytes_cache_;
+  if (state_ == nullptr) return 16;  // frame header only
+  const Bytes memo = state_->encoded_bytes.load(std::memory_order_relaxed);
+  if (memo >= 0) return memo;
   // Wire model: 16-byte frame header; per series the key string plus a
   // 1-byte kind tag and 2-byte length; counters are one f64, gauges the
   // 4-field statistic, histograms a 24-byte header plus a sparse
   // (varint bucket index ~ 2 bytes, count ~ 8 bytes) pair per non-empty
   // bucket plus under/overflow/total/sum/min/max in the header.
   Bytes total = 16;
-  for (const auto& [key, value] : series_) {
+  for (const auto& [key, value] : state_->series) {
     total += static_cast<Bytes>(key.size()) + 3;
     switch (value.kind) {
       case MetricKind::kCounter: total += 8; break;
       case MetricKind::kGauge: total += 32; break;
-      case MetricKind::kHistogram:
-        total += 24 + 10 * static_cast<Bytes>(
-                          value.hist.nonzero_buckets().size());
+      case MetricKind::kHistogram: {
+        const auto& head = value.hist.header();
+        const std::size_t buckets = value.hist.entries().size() +
+                                    (head.underflow > 0 ? 1 : 0) +
+                                    (head.overflow > 0 ? 1 : 0);
+        total += 24 + 10 * static_cast<Bytes>(buckets);
         break;
+      }
     }
   }
-  encoded_bytes_cache_ = total;
+  state_->encoded_bytes.store(total, std::memory_order_relaxed);
   return total;
 }
 
@@ -109,7 +183,7 @@ void fold_double(check::Digest& d, double v) {
 
 std::uint64_t SketchSnapshot::digest() const {
   check::Digest d;
-  for (const auto& [key, value] : series_) {
+  for (const auto& [key, value] : series()) {
     d.fold(std::string_view(key));
     d.fold(static_cast<std::uint64_t>(value.kind));
     switch (value.kind) {
@@ -125,7 +199,7 @@ std::uint64_t SketchSnapshot::digest() const {
       case MetricKind::kHistogram:
         d.fold(value.hist.total());
         fold_double(d, value.hist.sum());
-        for (const auto& b : value.hist.nonzero_buckets()) {
+        for (const auto& b : value.hist.dense().nonzero_buckets()) {
           fold_double(d, b.lo);
           d.fold(b.count);
         }
@@ -156,17 +230,22 @@ bool close(double a, double b, double rel_tol) {
   return std::fabs(a - b) <= rel_tol * scale;
 }
 
-bool hist_same(const HdrHistogram& a, const HdrHistogram& b, double rel_tol) {
-  if (a.total() != b.total()) return false;
-  if (!close(a.sum(), b.sum(), rel_tol)) return false;
-  if (a.total() > 0 && (a.min() != b.min() || a.max() != b.max())) {
+bool hist_same(const SparseHist& a, const SparseHist& b, double rel_tol) {
+  const auto& ha = a.header();
+  const auto& hb = b.header();
+  if (ha.total != hb.total || ha.underflow != hb.underflow ||
+      ha.overflow != hb.overflow) {
     return false;
   }
-  const auto ba = a.nonzero_buckets();
-  const auto bb = b.nonzero_buckets();
-  if (ba.size() != bb.size()) return false;
-  for (std::size_t i = 0; i < ba.size(); ++i) {
-    if (ba[i].lo != bb[i].lo || ba[i].count != bb[i].count) return false;
+  if (!close(ha.sum, hb.sum, rel_tol)) return false;
+  if (ha.total > 0 && (ha.min != hb.min || ha.max != hb.max)) return false;
+  const auto& ea = a.entries();
+  const auto& eb = b.entries();
+  if (ea.size() != eb.size()) return false;
+  for (std::size_t i = 0; i < ea.size(); ++i) {
+    if (ea[i].index != eb[i].index || ea[i].count != eb[i].count) {
+      return false;
+    }
   }
   return true;
 }

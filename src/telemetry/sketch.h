@@ -10,6 +10,20 @@
 // encoded-size model so the aggregation tree (telemetry/aggregator.h) can
 // charge its own traffic through the network cost models.
 //
+// Memory matches the wire model. A histogram is held the way it is
+// charged: sorted (bucket index, count) pairs on the HdrHistogram layout
+// plus its header (SparseHist), not the 672-bucket dense array, so a
+// counter or gauge series carries no histogram storage at all.
+//
+// Copy-on-write: a snapshot's series map sits behind a shared pointer.
+// Copying a snapshot (AggregationTree::submit of one sketch to 12k ranks)
+// bumps a refcount; a mutation (add_*, merge) first clones the map if any
+// other copy still shares it, so no copy ever observes another's writes.
+// Merging into an empty snapshot adopts the other's map outright. The
+// encoded_bytes() memo lives with the map and is shared the same way.
+// Copies may be read from several threads at once; as with any value
+// type, mutating one needs the usual external synchronisation.
+//
 // Merge laws (pinned by tests/sketch_test.cpp): merge is commutative and
 // associative on all integral state (counts, buckets, totals); floating
 // sums are commutative but associative only to rounding, which is why the
@@ -17,10 +31,13 @@
 // digest equality.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "core/stats.h"
 #include "core/units.h"
@@ -44,12 +61,40 @@ struct GaugeStat {
   }
 };
 
+/// Sparse form of an HdrHistogram: the header plus the non-empty sized
+/// buckets as ascending (index, count) pairs on the same fixed layout.
+/// Lossless both ways; quantiles are read through dense() so there is one
+/// quantile implementation.
+class SparseHist {
+ public:
+  struct Entry {
+    std::uint32_t index = 0;  // HdrHistogram sized-bucket index
+    std::uint64_t count = 0;
+  };
+
+  SparseHist() = default;
+  explicit SparseHist(const HdrHistogram& hist);
+
+  /// Exactly HdrHistogram::merge on the dense forms: a two-pointer walk.
+  void merge(const SparseHist& other);
+  HdrHistogram dense() const;
+
+  std::uint64_t total() const { return head_.total; }
+  double sum() const { return head_.sum; }
+  const HdrHistogram::Header& header() const { return head_; }
+  const std::vector<Entry>& entries() const { return entries_; }
+
+ private:
+  HdrHistogram::Header head_;
+  std::vector<Entry> entries_;
+};
+
 /// One mergeable series value, tagged by kind.
 struct SketchValue {
   MetricKind kind = MetricKind::kCounter;
   double counter = 0;  // kCounter
   GaugeStat gauge;     // kGauge
-  HdrHistogram hist;   // kHistogram
+  SparseHist hist;     // kHistogram
 
   /// Merges same-kind values; aborts on a kind clash (the registry
   /// guarantees one kind per name, so a clash is a wiring bug).
@@ -68,16 +113,17 @@ class SketchSnapshot {
   /// Element-wise merge of every series in `other`.
   void merge(const SketchSnapshot& other);
 
-  const std::map<std::string, SketchValue>& series() const { return series_; }
-  std::size_t size() const { return series_.size(); }
-  bool empty() const { return series_.empty(); }
+  const std::map<std::string, SketchValue>& series() const;
+  std::size_t size() const { return state_ ? state_->series.size() : 0; }
+  bool empty() const { return size() == 0; }
 
   /// Deterministic wire-size model (bytes) of this snapshot: per-series key
   /// + tag overhead, fixed-size counter/gauge payloads, and a sparse
   /// (bucket index, count) encoding for histograms. This is the number the
-  /// aggregation tree charges through the network cost model. Memoized:
-  /// recomputed only after a mutation (the aggregation tree sizes the same
-  /// unchanged snapshot at every level of every flush).
+  /// aggregation tree charges through the network cost model. Memoized
+  /// with the shared map: recomputed only after a mutation (the
+  /// aggregation tree sizes the same unchanged snapshot at every level of
+  /// every flush, and thousands of ranks ship one shared snapshot).
   Bytes encoded_bytes() const;
 
   /// Order-insensitive digest (series iterate in key order). Two snapshots
@@ -89,11 +135,19 @@ class SketchSnapshot {
   static SketchSnapshot from(const MetricsSnapshot& snapshot);
 
  private:
+  struct State {
+    std::map<std::string, SketchValue> series;
+    /// encoded_bytes() memo; -1 = stale. Atomic because copies on
+    /// different threads may size the one shared map concurrently.
+    mutable std::atomic<Bytes> encoded_bytes{-1};
+  };
+
+  /// The map, cloned first if another snapshot shares it; stales the memo.
+  std::map<std::string, SketchValue>& mutable_series();
   SketchValue& slot(const std::string& key, MetricKind kind);
 
-  std::map<std::string, SketchValue> series_;
-  /// encoded_bytes() memo; -1 = stale (any mutation invalidates).
-  mutable Bytes encoded_bytes_cache_ = -1;
+  /// Null for an empty snapshot (no allocation until the first write).
+  std::shared_ptr<State> state_;
 };
 
 /// True when the two snapshots agree: exactly on every integral field

@@ -150,5 +150,45 @@ TEST(Aggregator, RaggedLastHostAndPod) {
   EXPECT_DOUBLE_EQ(tree.root().series().at("steps_total").counter, 1300.0);
 }
 
+TEST(Aggregator, SharedSubmissionIsIsolatedFromItsSource) {
+  // One snapshot submitted to every rank shares one map (copy-on-write);
+  // mutating the source afterwards must not reach the submitted copies.
+  AggregationTree tree(small_tree());
+  SketchSnapshot source = rank_snapshot(0);
+  for (int r = 0; r < 64; ++r) tree.submit(r, source);
+  tree.flush();
+  const std::uint64_t before = tree.root().digest();
+  const Bytes bytes_before = tree.root().encoded_bytes();
+  source.add_counter("steps_total", 1.0);
+  source.add_counter("late_series_total", 1.0);
+  source.merge(rank_snapshot(1));
+  EXPECT_EQ(tree.root().digest(), before);
+  EXPECT_EQ(tree.root().encoded_bytes(), bytes_before);
+  EXPECT_DOUBLE_EQ(tree.root().series().at("steps_total").counter, 6400.0);
+  EXPECT_TRUE(approx_same(tree.root(), tree.flat_merge()));
+}
+
+// Release-safe input checks: these fire with NDEBUG too (they are not
+// asserts), so a bad rank can never write out of bounds.
+TEST(AggregatorDeathTest, RejectsNonPositiveTopology) {
+  AggTreeConfig cfg = small_tree();
+  cfg.ranks = 0;
+  EXPECT_DEATH(AggregationTree{cfg}, "ranks must be positive");
+  cfg = small_tree();
+  cfg.ranks_per_host = -1;
+  EXPECT_DEATH(AggregationTree{cfg}, "ranks_per_host must be positive");
+  cfg = small_tree();
+  cfg.hosts_per_pod = 0;
+  EXPECT_DEATH(AggregationTree{cfg}, "hosts_per_pod must be positive");
+}
+
+TEST(AggregatorDeathTest, RejectsOutOfRangeRank) {
+  AggregationTree tree(small_tree());
+  EXPECT_DEATH(tree.submit(64, rank_snapshot(0)),
+               "submit rank out of range \\(got 64\\)");
+  EXPECT_DEATH(tree.submit(-1, rank_snapshot(0)),
+               "submit rank out of range \\(got -1\\)");
+}
+
 }  // namespace
 }  // namespace ms::telemetry

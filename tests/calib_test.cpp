@@ -172,6 +172,33 @@ TEST(CalibIngest, SpanJsonlRoundTripsThroughDetection) {
   EXPECT_EQ(result.spans.front().detail, spans.front().detail);
 }
 
+TEST(CalibIngest, OneLineChromeTraceExportRoundTrips) {
+  // telemetry::chrome_trace writes the whole trace as one JSON object on
+  // one line; detection must not mistake it for a single span-JSONL row
+  // (which used to "succeed" with zero spans).
+  engine::JobConfig cfg = calib::fixture_config();
+  telemetry::Tracer tracer;
+  cfg.tracer = &tracer;
+  engine::simulate_iteration(cfg);
+  ASSERT_FALSE(tracer.spans().empty());
+  const std::string text = telemetry::chrome_trace(tracer);
+  EXPECT_EQ(calib::detect_trace_format(text),
+            calib::TraceFormat::kChromeTrace);
+
+  calib::IngestResult result;
+  std::string error;
+  ASSERT_TRUE(calib::ingest_trace(text, result, error)) << error;
+  EXPECT_EQ(result.spans.size(), tracer.spans().size());
+}
+
+TEST(CalibIngest, MalformedChromeTraceNamesTheOffset) {
+  calib::IngestResult result;
+  std::string error;
+  EXPECT_FALSE(calib::ingest_trace("[{\"ph\": \"X\",}]", result, error));
+  EXPECT_NE(error.find("malformed Chrome-trace JSON"), std::string::npos);
+  EXPECT_NE(error.find("at byte"), std::string::npos) << error;
+}
+
 TEST(CalibIngest, ChromeTraceToleratesKinetoQuirks) {
   // String pids, metadata/instant/counter events, a NaN counter value, a
   // B/E pair, fractional-us timestamps, a missing dur, an unknown phase,

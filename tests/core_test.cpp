@@ -401,6 +401,34 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_FALSE(json::parse("{} trailing", v));
 }
 
+TEST(Json, ParseReportsErrorWithByteOffset) {
+  json::Value v;
+  std::string error;
+  EXPECT_FALSE(json::parse("[1,]", v, &error));
+  EXPECT_EQ(error, "malformed JSON at byte 3");
+  EXPECT_FALSE(json::parse("{} trailing", v, &error));
+  EXPECT_EQ(error, "trailing characters at byte 3");
+}
+
+TEST(Json, ParseBoundsNestingDepth) {
+  // 200k '[' then 200k ']' used to recurse until the stack overflowed.
+  const std::string hostile =
+      std::string(200000, '[') + std::string(200000, ']');
+  json::Value v;
+  std::string error;
+  EXPECT_FALSE(json::parse(hostile, v, &error));
+  EXPECT_EQ(error, "nesting deeper than 256 levels at byte 256");
+  std::string objects;
+  for (int i = 0; i < 200000; ++i) objects += "{\"a\":";
+  EXPECT_FALSE(json::parse(objects, v, &error));
+  EXPECT_EQ(error, "nesting deeper than 256 levels at byte 1280");
+  // The limit itself still parses.
+  ASSERT_TRUE(json::parse(std::string(256, '[') + std::string(256, ']'), v));
+  EXPECT_TRUE(v.is_array());
+  EXPECT_FALSE(
+      json::parse(std::string(257, '[') + std::string(257, ']'), v, &error));
+}
+
 TEST(Json, ParseDecodesUnicodeEscapes) {
   json::Value v;
   ASSERT_TRUE(json::parse("\"a\\u0041\\u00e9\"", v));

@@ -4,8 +4,15 @@
 // and a registry snapshot converts losslessly into mergeable form.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <map>
 #include <string>
+#include <vector>
 
+#include "check/digest.h"
+#include "core/rng.h"
 #include "core/stats.h"
 #include "telemetry/metrics.h"
 #include "telemetry/sketch.h"
@@ -106,7 +113,7 @@ TEST(Sketch, HistogramBucketsAddElementWise) {
   a.add_histogram("lat", h1);
   b.add_histogram("lat", h2);
   a.merge(b);
-  const HdrHistogram& merged = a.series().at("lat").hist;
+  const HdrHistogram merged = a.series().at("lat").hist.dense();
   EXPECT_EQ(merged.total(), 14u);
   EXPECT_NEAR(merged.quantile(0.5), 0.010, 0.010 * 0.08);
 }
@@ -179,6 +186,180 @@ TEST(Sketch, TwoRanksSameSeriesMergeOntoOneEntry) {
   merged.merge(SketchSnapshot::from(r1.snapshot()));
   EXPECT_EQ(merged.size(), 1u);
   EXPECT_DOUBLE_EQ(merged.series().at("steps_total").counter, 42.0);
+}
+
+// ------------------------------------------- sparse vs dense oracle
+
+// One random sample: mostly in range, with underflow (0, negative, below
+// kRangeLo), overflow and NaN mixed in.
+double random_sample(Rng& rng) {
+  const double u = rng.uniform();
+  if (u < 0.04) return 0.0;
+  if (u < 0.06) return -rng.uniform(0.0, 5.0);
+  if (u < 0.08) return 1e-12;
+  if (u < 0.10) return 5e12;
+  if (u < 0.11) return std::numeric_limits<double>::quiet_NaN();
+  return std::pow(10.0, rng.uniform(-8.0, 11.0));
+}
+
+HdrHistogram random_hist(Rng& rng) {
+  HdrHistogram h;
+  const int n = static_cast<int>(rng.uniform_index(40));
+  for (int i = 0; i < n; ++i) {
+    h.add(random_sample(rng), 1 + rng.uniform_index(3));
+  }
+  return h;
+}
+
+// The dense path the sparse form replaced: each series a full
+// HdrHistogram, digest and wire size read off nonzero_buckets().
+std::uint64_t dense_digest(const std::map<std::string, HdrHistogram>& m) {
+  check::Digest d;
+  for (const auto& [key, h] : m) {
+    d.fold(std::string_view(key));
+    d.fold(static_cast<std::uint64_t>(MetricKind::kHistogram));
+    d.fold(h.total());
+    d.fold(std::bit_cast<std::uint64_t>(h.sum()));
+    for (const auto& b : h.nonzero_buckets()) {
+      d.fold(std::bit_cast<std::uint64_t>(b.lo));
+      d.fold(b.count);
+    }
+  }
+  return d.value();
+}
+
+Bytes dense_encoded_bytes(const std::map<std::string, HdrHistogram>& m) {
+  Bytes total = 16;
+  for (const auto& [key, h] : m) {
+    total += static_cast<Bytes>(key.size()) + 3 + 24 +
+             10 * static_cast<Bytes>(h.nonzero_buckets().size());
+  }
+  return total;
+}
+
+void expect_same_buckets(const std::vector<HdrHistogram::Bucket>& a,
+                         const std::vector<HdrHistogram::Bucket>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i].lo),
+              std::bit_cast<std::uint64_t>(b[i].lo));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i].hi),
+              std::bit_cast<std::uint64_t>(b[i].hi));
+    EXPECT_EQ(a[i].count, b[i].count);
+  }
+}
+
+TEST(SparseHist, SeededOracleMatchesDensePath) {
+  Rng rng(0x5ca1ab1e);
+  for (int trial = 0; trial < 40; ++trial) {
+    SketchSnapshot sparse;
+    std::map<std::string, HdrHistogram> dense;
+    // A few ranks' snapshots over overlapping keys, merged in one order.
+    const int ranks = 1 + static_cast<int>(rng.uniform_index(6));
+    for (int r = 0; r < ranks; ++r) {
+      SketchSnapshot rank;
+      std::map<std::string, HdrHistogram> rank_dense;
+      const int keys = 1 + static_cast<int>(rng.uniform_index(4));
+      for (int k = 0; k < keys; ++k) {
+        const std::string key =
+            "lat{k=\"" + std::to_string(rng.uniform_index(5)) + "\"}";
+        const HdrHistogram h = random_hist(rng);
+        rank.add_histogram(key, h);
+        rank_dense[key].merge(h);
+      }
+      sparse.merge(rank);
+      for (const auto& [key, h] : rank_dense) dense[key].merge(h);
+    }
+    ASSERT_EQ(sparse.size(), dense.size());
+    EXPECT_EQ(sparse.digest(), dense_digest(dense)) << "trial " << trial;
+    EXPECT_EQ(sparse.encoded_bytes(), dense_encoded_bytes(dense));
+    for (const auto& [key, ref] : dense) {
+      const HdrHistogram back = sparse.series().at(key).hist.dense();
+      expect_same_buckets(back.nonzero_buckets(), ref.nonzero_buckets());
+      EXPECT_EQ(back.total(), ref.total());
+      EXPECT_EQ(back.underflow_count(), ref.underflow_count());
+      EXPECT_EQ(back.overflow_count(), ref.overflow_count());
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(back.sum()),
+                std::bit_cast<std::uint64_t>(ref.sum()));
+      for (double q : {0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 1.0}) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(back.quantile(q)),
+                  std::bit_cast<std::uint64_t>(ref.quantile(q)))
+            << key << " q=" << q;
+      }
+    }
+  }
+}
+
+TEST(SparseHist, StoresOnlyNonEmptyBuckets) {
+  HdrHistogram h;
+  h.add(0.5, 3);
+  h.add(2.0);
+  h.add(0.0);   // underflow: header only
+  h.add(1e13);  // overflow: header only
+  const SparseHist s(h);
+  ASSERT_EQ(s.entries().size(), 2u);
+  EXPECT_LT(s.entries()[0].index, s.entries()[1].index);
+  EXPECT_EQ(s.entries()[0].count, 3u);
+  EXPECT_EQ(s.header().underflow, 1u);
+  EXPECT_EQ(s.header().overflow, 1u);
+  EXPECT_EQ(s.total(), 6u);
+}
+
+// ---------------------------------------------------- copy-on-write
+
+TEST(SketchCow, MergingIntoACopyLeavesTheOriginal) {
+  SketchSnapshot a = sample_snapshot(1);
+  const std::uint64_t digest = a.digest();
+  const Bytes bytes = a.encoded_bytes();  // memo now set on the shared map
+  SketchSnapshot b = a;
+  b.merge(sample_snapshot(2));
+  b.add_counter("only_in_b_total", 1.0);
+  EXPECT_EQ(a.digest(), digest);
+  EXPECT_EQ(a.encoded_bytes(), bytes);
+  EXPECT_EQ(a.size(), sample_snapshot(1).size());
+  EXPECT_GT(b.encoded_bytes(), bytes);
+  EXPECT_NE(b.digest(), digest);
+}
+
+TEST(SketchCow, MutatingTheOriginalLeavesACopy) {
+  SketchSnapshot a = sample_snapshot(1);
+  const SketchSnapshot copy = a;
+  const std::uint64_t digest = copy.digest();
+  const Bytes bytes = copy.encoded_bytes();
+  HdrHistogram wide;
+  for (int i = 0; i < 32; ++i) wide.add(std::pow(10.0, i % 9));
+  a.add_histogram("step_seconds", wide);
+  a.add_gauge("mfu", 0.9);
+  EXPECT_EQ(copy.digest(), digest);
+  EXPECT_EQ(copy.encoded_bytes(), bytes);
+  EXPECT_GT(a.encoded_bytes(), bytes);
+}
+
+TEST(SketchCow, MergeIntoEmptyAdoptsButStaysIsolated) {
+  const SketchSnapshot src = sample_snapshot(3);
+  const Bytes bytes = src.encoded_bytes();
+  SketchSnapshot dst;
+  dst.merge(src);
+  EXPECT_EQ(dst.digest(), src.digest());
+  EXPECT_EQ(dst.encoded_bytes(), bytes);
+  dst.merge(sample_snapshot(4));
+  EXPECT_EQ(src.digest(), sample_snapshot(3).digest());
+  EXPECT_EQ(src.encoded_bytes(), bytes);
+}
+
+TEST(SketchCow, SelfMergeDoubles) {
+  SketchSnapshot a = sample_snapshot(1);
+  SketchSnapshot twice = sample_snapshot(1);
+  twice.merge(sample_snapshot(1));
+  a.merge(a);
+  EXPECT_EQ(a.digest(), twice.digest());
+  EXPECT_DOUBLE_EQ(a.series().at("steps_total").counter, 202.0);
+  EXPECT_EQ(a.series().at("step_seconds").hist.total(), 32u);
+  // A copy sharing a's map merges the same way.
+  SketchSnapshot b = a;
+  a.merge(b);
+  EXPECT_EQ(a.series().at("step_seconds").hist.total(), 64u);
+  EXPECT_EQ(b.series().at("step_seconds").hist.total(), 32u);
 }
 
 }  // namespace

@@ -15,7 +15,7 @@
 #include "bench/common.h"
 #include "core/table.h"
 #include "core/wallclock.h"
-#include "net/ccsim_multi.h"
+#include "net/ccsim.h"
 #include "net/ecmp.h"
 #include "net/fabric/detectors.h"
 #include "net/fabric/observatory.h"

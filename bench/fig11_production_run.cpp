@@ -29,7 +29,7 @@
 #include "diag/artifact.h"
 #include "diag/blame.h"
 #include "ft/workflow.h"
-#include "net/ccsim_multi.h"
+#include "net/ccsim.h"
 #include "net/fabric/observatory.h"
 #include "optim/trainer.h"
 #include "telemetry/aggregator.h"

@@ -9,7 +9,6 @@
 #include "bench/common.h"
 #include "core/table.h"
 #include "net/ccsim.h"
-#include "net/ccsim_multi.h"
 #include "net/ecmp.h"
 #include "net/flap.h"
 #include "net/topology.h"

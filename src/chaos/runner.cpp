@@ -13,7 +13,6 @@
 #include "engine/job.h"
 #include "ft/driver_sim.h"
 #include "net/ccsim.h"
-#include "net/ccsim_multi.h"
 #include "net/ecmp.h"
 #include "net/fabric/detectors.h"
 #include "net/fabric/observatory.h"

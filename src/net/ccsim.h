@@ -5,12 +5,25 @@
 // head-of-line blocking; they deploy a hybrid algorithm combining Swift's
 // precise RTT measurement with DCQCN's fast ECN response.
 //
-// We reproduce the mechanism with a time-stepped fluid model of an incast
-// bottleneck: N senders share one switch egress queue. Per step the queue
-// integrates arrivals minus service; ECN marks with a RED-style ramp; PFC
-// pauses *all* senders (that is the HoL collateral damage) when the queue
-// crosses the pause threshold. Each sender runs a pluggable congestion
-// controller fed with delayed (RTT, ECN) feedback.
+// One time-stepped fluid engine reproduces the mechanism over a chain of
+// switch egress queues ("parking lot"): flow f enters at `first_hop` and
+// leaves after `last_hop`. Per step each queue integrates arrivals minus
+// service, and the flows crossing it are shaped to their FIFO share of what
+// it served. ECN marks with a RED-style ramp on every hop of a flow's path.
+// Each flow runs a pluggable congestion controller fed with (RTT, ECN)
+// feedback delayed by one base RTT.
+//
+// PFC rule: queue h latches a pause when it holds more than `pfc_pause`
+// bytes and releases it below `pfc_resume`. For h > 0 the pause stops hop
+// h-1's egress, and a paused egress serves nobody, including flows that
+// leave the chain there: that is how a pause cascades upstream onto
+// innocent flows. Queue 0 has no upstream queue. Whether its pause stops
+// the senders is fixed by the entry point:
+//   * run_cc_sim, the single-bottleneck incast (the one-hop chain): yes.
+//     Every sender stops injecting, which is the HoL collateral damage,
+//     and no feedback arrives while they are stopped.
+//   * run_multi_cc_sim, the multi-hop chain: never. Senders are not
+//     paused; queue 0 just keeps growing.
 #pragma once
 // ms-lint: allow-file(raw-seconds): the fluid model integrates rate * dt in
 // double seconds by design; TimeNs applies at event-scheduling boundaries.
@@ -126,17 +139,93 @@ struct CcSimParams {
 
 struct CcSimResult {
   std::string algorithm;
-  double utilization = 0;        // delivered / (bottleneck * duration)
+  double utilization = 0;        // served / (bottleneck * duration)
   double mean_queue_bytes = 0;
   double p99_queue_bytes = 0;
   double pfc_pause_fraction = 0; // fraction of time senders were paused
   int pfc_pause_events = 0;
-  double fairness = 0;           // Jain index over per-sender delivered bytes
+  double fairness = 0;           // Jain index over per-sender sent bytes
 };
 
-/// Runs the incast scenario with one controller instance per sender.
-/// `make_algorithm` is invoked once per sender.
+/// Runs the incast: `senders` flows into one shared egress, whose PFC pause
+/// stops every sender. `make_algorithm` is invoked once per sender.
+/// Aborts with a message unless senders >= 1 and step_s > 0.
 CcSimResult run_cc_sim(const CcSimParams& params,
                        const std::function<std::unique_ptr<CcAlgorithm>()>& make_algorithm);
+
+// ------------------------------------------------- multi-hop PFC chain
+//
+// The single bottleneck shows queue depth and pause time. What it cannot
+// show is WHY PFC is so damaging in a fabric: a pause frame stops the
+// upstream port's entire egress, so flows that never touch the congested
+// queue stall behind the ones that do.
+
+struct MultiHopFlow {
+  int first_hop = 0;
+  int last_hop = 0;  // inclusive
+  double line_rate = 25e9;
+};
+
+struct MultiCcParams {
+  int hops = 3;
+  double hop_capacity = 50e9;   // bytes/s service per queue (default)
+  /// Optional per-hop override (size == hops); empty = uniform.
+  std::vector<double> hop_capacities;
+  double base_rtt_s = 8e-6;
+  double step_s = 2e-6;
+  double duration_s = 0.03;
+  double ecn_kmin = 400e3;
+  double ecn_kmax = 1600e3;
+  double ecn_pmax = 0.1;
+  double pfc_pause = 2000e3;
+  double pfc_resume = 1600e3;
+  std::vector<MultiHopFlow> flows;
+  /// Optional fabric observatory (not owned, strictly passive). Each hop
+  /// registers as "<prefix><i>"; flows register their hop lists and their
+  /// delivered bytes are attributed across the path, so a PFC storm at the
+  /// bottleneck hop is localizable from the recorded series alone.
+  fabric::FabricObservatory* observatory = nullptr;
+  std::string observatory_link_prefix = "hop";
+};
+
+struct MultiCcResult {
+  /// Delivered bytes / (line_rate * duration) per flow.
+  std::vector<double> flow_goodput_frac;
+  /// Fraction of time each hop's egress was paused by downstream PFC.
+  std::vector<double> hop_pause_fraction;
+  /// Pause events observed at each hop.
+  std::vector<int> hop_pause_events;
+  /// Max queue depth per hop (bytes).
+  std::vector<double> hop_max_queue;
+};
+
+/// Runs the chain with one congestion controller per flow. Hop 0's PFC
+/// never pauses the senders (see the PFC rule above). Aborts with a
+/// message unless hops >= 1, there is at least one flow, every flow has
+/// 0 <= first_hop <= last_hop < hops, hop_capacities is empty or has one
+/// entry per hop, and step_s > 0.
+MultiCcResult run_multi_cc_sim(
+    const MultiCcParams& params,
+    const std::function<std::unique_ptr<CcAlgorithm>()>& make_algorithm);
+
+/// The §3.6 victim scenario: `incast_senders` flows cross hops 1..2 and
+/// congest the last one; one victim flow uses only the first hop. Returns
+/// {victim goodput fraction, incast aggregate goodput fraction,
+/// first-hop pause fraction}.
+struct VictimReport {
+  double victim_goodput = 0;
+  double incast_goodput = 0;
+  double first_hop_pause_fraction = 0;
+};
+VictimReport run_victim_scenario(
+    int incast_senders,
+    const std::function<std::unique_ptr<CcAlgorithm>()>& make_algorithm);
+
+/// The parameter set run_victim_scenario() uses: 3 hops with the LAST one
+/// the 25 GB/s bottleneck, shallow-buffer PFC thresholds, `incast_senders`
+/// flows over hops 1..2 plus one victim on hop 0 only. Exposed so callers
+/// (chaos localization, `msdiag fabric`) can attach an observatory or
+/// rescale thresholds before running run_multi_cc_sim() themselves.
+MultiCcParams victim_params(int incast_senders);
 
 }  // namespace ms::net

@@ -11,7 +11,7 @@
 
 #include "core/rng.h"
 #include "diag/timeline.h"
-#include "net/ccsim_multi.h"
+#include "net/ccsim.h"
 #include "net/ecmp.h"
 #include "net/fabric/detectors.h"
 #include "net/fabric/observatory.h"

@@ -6,7 +6,7 @@
 // millisecond granularity, plus tooling that localizes a congestion event
 // to a specific link. This module is that visibility layer for the
 // simulators: every simulated link / NIC / switch queue registers here and
-// the fluid models (ccsim, ccsim_multi, flowsim, ecmp analysis) feed their
+// the fluid models (ccsim, flowsim, ecmp analysis) feed their
 // per-step state through the record_* hooks into ring-buffered LinkSeries.
 // Flows additionally register their ECMP hop list so each link's traffic
 // is attributable to the flows that crossed it (path recording).
@@ -101,8 +101,6 @@ class FabricObservatory {
   /// tx bytes of one bucket as a fraction of capacity x cadence (0 when
   /// the link capacity is unknown).
   double utilization(int link, const LinkSample& sample) const;
-  /// Mean bucket utilization across the retained window.
-  double mean_utilization(int link) const;
 
   /// Order-sensitive determinism digest over every link series, flow
   /// record and eviction counter. Same seed => same digest (pinned by

@@ -15,7 +15,7 @@
 #include "core/wallclock.h"
 #include "engine/job.h"
 #include "ft/workflow.h"
-#include "net/ccsim_multi.h"
+#include "net/ccsim.h"
 #include "net/fabric/observatory.h"
 #include "prof/profiler.h"
 #include "prof/report.h"
@@ -199,8 +199,24 @@ WorkloadResult run_fig11_production() {
   return {};
 }
 
+WorkloadResult run_cc_storm() {
+  // Mirrors run_storm and localize_storm in src/chaos/runner.cpp.
+  net::CcSimParams incast;
+  incast.senders = 32;
+  incast.duration_s = 0.02;
+  incast.pfc_pause *= 0.5;
+  incast.pfc_resume = incast.pfc_pause * 0.8;
+  (void)net::run_cc_sim(incast, [] { return std::make_unique<net::Dcqcn>(); });
+  net::fabric::FabricObservatory obs;
+  net::MultiCcParams chain = net::victim_params(16);
+  chain.observatory = &obs;
+  (void)net::run_multi_cc_sim(chain,
+                              [] { return std::make_unique<net::Dcqcn>(); });
+  return {};
+}
+
 std::vector<std::string> workload_names() {
-  return {"micro_engine", "fig11_step", "fig11_production_run"};
+  return {"micro_engine", "fig11_step", "fig11_production_run", "cc_storm"};
 }
 
 bool run_workload(const std::string& name, WorkloadResult& out) {
@@ -214,6 +230,10 @@ bool run_workload(const std::string& name, WorkloadResult& out) {
   }
   if (name == "fig11_production_run") {
     out = run_fig11_production();
+    return true;
+  }
+  if (name == "cc_storm") {
+    out = run_cc_storm();
     return true;
   }
   return false;

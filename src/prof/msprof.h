@@ -63,6 +63,11 @@ WorkloadResult run_fig11_step();
 /// each phase under its own fig11.* profiler scope.
 WorkloadResult run_fig11_production();
 
+/// The two congestion-control runs one chaos `pfc-storm` fault makes at
+/// intensity 1.0: the 32-sender single-hop incast with halved PFC
+/// thresholds, then the 16-sender victim chain under a fabric observatory.
+WorkloadResult run_cc_storm();
+
 /// Names accepted by run_workload / `msprof run` / `msprof overhead`.
 std::vector<std::string> workload_names();
 

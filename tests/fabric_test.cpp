@@ -14,7 +14,6 @@
 
 #include "diag/flight_recorder.h"
 #include "net/ccsim.h"
-#include "net/ccsim_multi.h"
 #include "net/ecmp.h"
 #include "net/fabric/detectors.h"
 #include "net/fabric/fabric_cli.h"
@@ -130,7 +129,6 @@ TEST(Observatory, UtilizationNormalizesByCapacityAndCadence) {
   const auto samples = obs.samples(l);
   ASSERT_EQ(samples.size(), 1u);
   EXPECT_DOUBLE_EQ(obs.utilization(l, samples[0]), 0.5);
-  EXPECT_DOUBLE_EQ(obs.mean_utilization(l), 0.5);
 }
 
 // -------------------------------------------- passivity and determinism

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "net/ccsim.h"
 #include "net/ecmp.h"
@@ -86,7 +88,6 @@ TEST(Topology, PathsStayOnRail) {
 TEST(Topology, SelfPathsEmpty) {
   ClosTopology topo(small_clos_params());
   EXPECT_TRUE(topo.ecmp_paths(3, 3, 0).empty());
-  EXPECT_EQ(topo.hop_count(3, 3, 0), 0);
 }
 
 TEST(Topology, SplitDownlinkDoublesUplinkCapacity) {
@@ -107,12 +108,6 @@ TEST(Topology, SplitDownlinkDoublesUplinkCapacity) {
   };
   EXPECT_DOUBLE_EQ(uplink_cap(tuned), gbps(400.0));
   EXPECT_DOUBLE_EQ(uplink_cap(untuned), gbps(200.0));
-}
-
-TEST(Topology, BisectionBandwidthPositive) {
-  ClosTopology topo(small_clos_params());
-  // 4 pods*aggs * spines... : aggs(4) x spines_per_plane(2) links at 400G.
-  EXPECT_DOUBLE_EQ(topo.bisection_bandwidth(), 8 * gbps(400.0));
 }
 
 // ----------------------------------------------------------------- ecmp
@@ -327,6 +322,39 @@ TEST(CcSim, FairnessNearOne) {
   }
 }
 
+/// The incast one chaos `pfc-storm` fault runs at `intensity` (mirrors
+/// run_storm in src/chaos/runner.cpp).
+CcSimParams storm_params(double intensity) {
+  CcSimParams p;
+  p.senders = 8 + static_cast<int>(24.0 * intensity);
+  p.duration_s = 0.02;
+  p.pfc_pause *= (1.0 - 0.5 * intensity);
+  p.pfc_resume = p.pfc_pause * 0.8;
+  return p;
+}
+
+TEST(CcSimPinned, ChaosStormPauseAccounting) {
+  // Pinned outputs. The chaos verdicts read the pause fraction and event
+  // count, so those are exact. Utilization is held to 1e-12 relative: its
+  // last bits depend on the order in which arrivals are summed.
+  struct Pin {
+    double intensity;
+    double utilization;
+    double pause_fraction;
+    int pause_events;
+  };
+  for (const Pin& pin : {Pin{0.05, 0.86857609322675122, 0.0016000000000000003, 3},
+                         Pin{0.5, 0.92211881535292051, 0.02139999999999995, 50},
+                         Pin{1.0, 0.99879228236680451, 0.087200000000001471, 273}}) {
+    const auto r = run_cc_sim(storm_params(pin.intensity),
+                              [] { return std::make_unique<Dcqcn>(); });
+    EXPECT_EQ(r.pfc_pause_fraction, pin.pause_fraction) << pin.intensity;
+    EXPECT_EQ(r.pfc_pause_events, pin.pause_events) << pin.intensity;
+    EXPECT_NEAR(r.utilization, pin.utilization, 1e-12 * pin.utilization)
+        << pin.intensity;
+  }
+}
+
 // ------------------------------------------------- ccsim threshold edges
 
 /// Constant-rate controller: removes the control loop so the fluid
@@ -356,6 +384,42 @@ CcSimParams staircase_params(int steps) {
   p.pfc_pause = 3.0;
   p.pfc_resume = 2.0;
   return p;
+}
+
+/// Keeps its rate like FixedRate and logs every feedback it receives.
+class RecordingRate : public CcAlgorithm {
+ public:
+  explicit RecordingRate(std::vector<CcFeedback>* log) : log_(log) {}
+  std::string name() const override { return "RecordingRate"; }
+  double on_feedback(double current_rate, const CcFeedback& fb) override {
+    log_->push_back(fb);
+    return current_rate;
+  }
+
+ private:
+  std::vector<CcFeedback>* log_;
+};
+
+TEST(CcSim, FeedbackCarriesTheQueueOneRttAgo) {
+  // PFC out of reach, so the queue after k steps is exactly k bytes. A
+  // three-step RTT: the one sender hears feedback at steps 0, 3, 6, ...,
+  // and feedback at step s must carry the queue after s - 3 steps (the
+  // empty queue during the first RTT). A queue history one slot too short
+  // hands back a newer, deeper queue instead.
+  constexpr int kRttSteps = 3;
+  auto p = staircase_params(24);
+  p.base_rtt_s = 0.25 * kRttSteps;
+  p.pfc_pause = 1e9;
+  p.pfc_resume = 1e9;
+  std::vector<CcFeedback> log;
+  (void)run_cc_sim(p, [&log] { return std::make_unique<RecordingRate>(&log); });
+  ASSERT_EQ(log.size(), 8u);
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    const int step = kRttSteps * static_cast<int>(i);
+    const double queue_then = std::max(0, step - kRttSteps);  // bytes
+    EXPECT_EQ(log[i].rtt_s, p.base_rtt_s + queue_then / p.bottleneck_rate)
+        << "feedback at step " << step;
+  }
 }
 
 TEST(CcSim, QueueExactlyAtPauseThresholdDoesNotPause) {
@@ -408,6 +472,16 @@ TEST(CcSim, ZeroRttIsFinite) {
     EXPECT_GT(r.utilization, 0.0) << r.algorithm;
     EXPECT_LE(r.utilization, 1.0 + 1e-9) << r.algorithm;
   }
+}
+
+TEST(CcSimDeathTest, RejectsBadParams) {
+  const auto make = [] { return std::make_unique<Dcqcn>(); };
+  auto p = cc_params();
+  p.senders = 0;
+  EXPECT_DEATH(run_cc_sim(p, make), "senders must be >= 1");
+  p = cc_params();
+  p.step_s = 0;
+  EXPECT_DEATH(run_cc_sim(p, make), "step_s must be positive");
 }
 
 // ------------------------------------------------------------------ flap

@@ -444,6 +444,8 @@ TEST_F(ProfTest, RunWorkloadByName) {
             names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "fig11_production_run"),
             names.end());
+  EXPECT_NE(std::find(names.begin(), names.end(), "cc_storm"), names.end());
+  EXPECT_TRUE(run_workload("cc_storm", result));
 }
 
 // ------------------------------------------------------------ msprof CLI

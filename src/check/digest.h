@@ -10,6 +10,7 @@
 // digest mismatch long before it shows up as a wrong MFU number.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string_view>
 
@@ -26,6 +27,11 @@ class Digest {
   }
 
   void fold(std::int64_t v) noexcept { fold(static_cast<std::uint64_t>(v)); }
+
+  /// Folds a double's exact bit pattern (so -0.0 != 0.0 and every NaN
+  /// payload is distinct). Not a fold(double) overload: that would make
+  /// fold(1) ambiguous between the integer overloads and this one.
+  void fold_bits(double v) noexcept { fold(std::bit_cast<std::uint64_t>(v)); }
 
   void fold(std::string_view s) noexcept {
     for (char c : s) fold_byte(static_cast<unsigned char>(c));

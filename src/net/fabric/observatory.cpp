@@ -1,6 +1,5 @@
 #include "net/fabric/observatory.h"
 
-#include <bit>
 #include <cassert>
 #include <cinttypes>
 #include <cstdio>
@@ -119,7 +118,7 @@ std::uint64_t FabricObservatory::digest() const {
   for (const auto& flow : flows_) {
     digest.fold(flow.label);
     for (int link : flow.links) digest.fold(static_cast<std::int64_t>(link));
-    digest.fold(std::bit_cast<std::uint64_t>(flow.bytes));
+    digest.fold_bits(flow.bytes);
   }
   return digest.value();
 }

@@ -1,7 +1,6 @@
 #include "net/fabric/series.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 
 namespace ms::net::fabric {
@@ -93,9 +92,9 @@ void LinkSeries::fold_digest(check::Digest& digest) const {
   for (std::size_t i = 0; i < ring_.size(); ++i) {
     const LinkSample& s = ring_[(head_ + i) % capacity_];
     digest.fold(s.bucket);
-    digest.fold(std::bit_cast<std::uint64_t>(s.tx_bytes));
-    digest.fold(std::bit_cast<std::uint64_t>(s.queue_peak_bytes));
-    digest.fold(std::bit_cast<std::uint64_t>(s.ecn_marks));
+    digest.fold_bits(s.tx_bytes);
+    digest.fold_bits(s.queue_peak_bytes);
+    digest.fold_bits(s.ecn_marks);
     digest.fold(s.pause_time);
     digest.fold(static_cast<std::int64_t>(s.pause_events));
     digest.fold(static_cast<std::int64_t>(s.active_flows));

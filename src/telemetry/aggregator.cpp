@@ -13,13 +13,25 @@ namespace {
 int ceil_div(int a, int b) { return (a + b - 1) / b; }
 
 // A bad config or rank is a wiring bug with no sane fallback (a bad rank
-// would index past leaves_), so it aborts with a message in every build
-// mode, like the kind clash in SketchValue::merge, instead of through an
+// would index past the rank tier), so it aborts with a message in every
+// build mode, like a kind clash in SketchSnapshot, instead of through an
 // assert that NDEBUG compiles out.
 [[noreturn]] void die(const char* what, long long value) {
   std::fprintf(stderr, "AggregationTree: %s (got %lld)\n", what, value);
   std::abort();
 }
+
+// The levels bottom-up: the on-host hop rides NVLink / shared memory, the
+// two upper hops the RDMA fabric.
+struct Hop {
+  const char* name;
+  collective::Domain domain;
+};
+constexpr Hop kHops[] = {
+    {"rank->host", collective::Domain::kIntraNode},
+    {"host->pod", collective::Domain::kInterNode},
+    {"pod->cluster", collective::Domain::kInterNode},
+};
 
 }  // namespace
 
@@ -32,136 +44,88 @@ AggregationTree::AggregationTree(const AggTreeConfig& cfg)
   if (cfg_.hosts_per_pod <= 0) {
     die("hosts_per_pod must be positive", cfg_.hosts_per_pod);
   }
-  hosts_ = ceil_div(cfg_.ranks, cfg_.ranks_per_host);
-  pods_ = ceil_div(hosts_, cfg_.hosts_per_pod);
-  leaves_.resize(static_cast<std::size_t>(cfg_.ranks));
-  rank_dirty_.assign(static_cast<std::size_t>(cfg_.ranks), 0);
-  host_cache_.resize(static_cast<std::size_t>(hosts_));
-  pod_cache_.resize(static_cast<std::size_t>(pods_));
+  const int hosts = ceil_div(cfg_.ranks, cfg_.ranks_per_host);
+  const int pods = ceil_div(hosts, cfg_.hosts_per_pod);
+  const auto tier = [](int nodes, int fan_in) {
+    const auto n = static_cast<std::size_t>(nodes);
+    return Tier{std::vector<SketchSnapshot>(n), std::vector<char>(n, 0),
+                fan_in};
+  };
+  tiers_ = {tier(cfg_.ranks, 0), tier(hosts, cfg_.ranks_per_host),
+            tier(pods, cfg_.hosts_per_pod), tier(1, pods)};
 }
 
 void AggregationTree::submit(int rank, SketchSnapshot snapshot) {
   if (rank < 0 || rank >= cfg_.ranks) die("submit rank out of range", rank);
-  leaves_[static_cast<std::size_t>(rank)] = std::move(snapshot);
-  rank_dirty_[static_cast<std::size_t>(rank)] = 1;
+  Tier& ranks = tiers_.front();
+  ranks.sketches[static_cast<std::size_t>(rank)] = std::move(snapshot);
+  ranks.dirty[static_cast<std::size_t>(rank)] = 1;
 }
 
 SketchSnapshot AggregationTree::flat_merge() const {
   SketchSnapshot out;
-  for (const auto& leaf : leaves_) out.merge(leaf);
+  for (const auto& leaf : tiers_.front().sketches) out.merge(leaf);
   return out;
+}
+
+LevelReport AggregationTree::flush_level(std::size_t level,
+                                         Bytes& largest_sender) {
+  Tier& children = tiers_[level];
+  Tier& parents = tiers_[level + 1];
+  const auto fan_in = static_cast<std::size_t>(parents.fan_in);
+  LevelReport report;
+  report.level = kHops[level].name;
+  report.receivers = static_cast<int>(parents.sketches.size());
+  report.fan_in = parents.fan_in;
+  largest_sender = 0;
+
+  // A parent is dirty when any child re-submitted since the last flush.
+  // Clean parents neither ship nor merge: their retained aggregate stands.
+  std::fill(parents.dirty.begin(), parents.dirty.end(), 0);
+  for (std::size_t c = 0; c < children.dirty.size(); ++c) {
+    if (children.dirty[c]) parents.dirty[c / fan_in] = 1;
+  }
+  // Sender/byte/latency accounting covers only the dirty children: a child
+  // with no fresh sketch ships nothing. A receiver ingests its senders one
+  // after another; the level takes as long as its slowest receiver.
+  for (std::size_t p = 0; p < parents.sketches.size(); ++p) {
+    if (!parents.dirty[p]) continue;
+    TimeNs ingest = 0;
+    const std::size_t lo = p * fan_in;
+    const std::size_t hi = std::min(children.sketches.size(), lo + fan_in);
+    SketchSnapshot& merged = parents.sketches[p];
+    merged = SketchSnapshot();
+    for (std::size_t c = lo; c < hi; ++c) {
+      const SketchSnapshot& child = children.sketches[c];
+      merged.merge(child);
+      if (!children.dirty[c]) continue;
+      const Bytes bytes = child.encoded_bytes();
+      ++report.senders;
+      report.bytes += bytes;
+      largest_sender = std::max(largest_sender, bytes);
+      ingest += model_.send_recv(bytes, kHops[level].domain);
+      ingest += cfg_.merge_cost_per_series *
+                static_cast<TimeNs>(child.size());
+    }
+    report.stage_latency = std::max(report.stage_latency, ingest);
+  }
+  std::fill(children.dirty.begin(), children.dirty.end(), 0);
+  return report;
 }
 
 FlushReport AggregationTree::flush() {
   MS_PROF_SCOPE("telemetry.agg_flush");
   FlushReport report;
-
-  // A subtree is dirty when any leaf under it re-submitted since the last
-  // flush. Clean subtrees neither ship nor merge: their parent reuses the
-  // retained aggregate from host_cache_ / pod_cache_.
-  std::vector<char> host_dirty(static_cast<std::size_t>(hosts_), 0);
-  std::vector<char> pod_dirty(static_cast<std::size_t>(pods_), 0);
-  for (int rank = 0; rank < cfg_.ranks; ++rank) {
-    if (rank_dirty_[static_cast<std::size_t>(rank)]) {
-      host_dirty[static_cast<std::size_t>(rank / cfg_.ranks_per_host)] = 1;
-    }
-  }
-  for (int host = 0; host < hosts_; ++host) {
-    if (host_dirty[static_cast<std::size_t>(host)]) {
-      pod_dirty[static_cast<std::size_t>(host / cfg_.hosts_per_pod)] = 1;
-    }
-  }
-
-  // ---- level 0: rank -> host (NVLink / shared memory) -------------------
-  // Sender/byte/latency accounting covers only the dirty ranks — a rank
-  // with no fresh snapshot ships nothing, and an all-clean host skips its
-  // rebuild entirely.
-  LevelReport l0;
-  l0.level = "rank->host";
-  l0.receivers = hosts_;
-  l0.fan_in = cfg_.ranks_per_host;
-  for (int host = 0; host < hosts_; ++host) {
-    if (!host_dirty[static_cast<std::size_t>(host)]) continue;
-    TimeNs ingest = 0;
-    const int lo = host * cfg_.ranks_per_host;
-    const int hi = std::min(cfg_.ranks, lo + cfg_.ranks_per_host);
-    auto& merged = host_cache_[static_cast<std::size_t>(host)];
-    merged = SketchSnapshot();
-    for (int rank = lo; rank < hi; ++rank) {
-      const auto& leaf = leaves_[static_cast<std::size_t>(rank)];
-      merged.merge(leaf);
-      if (!rank_dirty_[static_cast<std::size_t>(rank)]) continue;
-      const Bytes bytes = leaf.encoded_bytes();
-      ++l0.senders;
-      l0.bytes += bytes;
-      ingest += model_.send_recv(bytes, collective::Domain::kIntraNode);
-      ingest += cfg_.merge_cost_per_series *
-                static_cast<TimeNs>(leaf.size());
-    }
-    l0.stage_latency = std::max(l0.stage_latency, ingest);
-  }
-  report.intra_bytes = l0.bytes;
-  report.levels.push_back(l0);
-
-  // ---- level 1: host -> pod (RDMA fabric) -------------------------------
-  LevelReport l1;
-  l1.level = "host->pod";
-  l1.receivers = pods_;
-  l1.fan_in = cfg_.hosts_per_pod;
   Bytes max_host_uplink = 0;
-  for (int pod = 0; pod < pods_; ++pod) {
-    if (!pod_dirty[static_cast<std::size_t>(pod)]) continue;
-    TimeNs ingest = 0;
-    const int lo = pod * cfg_.hosts_per_pod;
-    const int hi = std::min(hosts_, lo + cfg_.hosts_per_pod);
-    auto& merged = pod_cache_[static_cast<std::size_t>(pod)];
-    merged = SketchSnapshot();
-    for (int host = lo; host < hi; ++host) {
-      const auto& snap = host_cache_[static_cast<std::size_t>(host)];
-      merged.merge(snap);
-      if (!host_dirty[static_cast<std::size_t>(host)]) continue;
-      const Bytes bytes = snap.encoded_bytes();
-      ++l1.senders;
-      l1.bytes += bytes;
-      max_host_uplink = std::max(max_host_uplink, bytes);
-      ingest += model_.send_recv(bytes, collective::Domain::kInterNode);
-      ingest += cfg_.merge_cost_per_series *
-                static_cast<TimeNs>(snap.size());
-    }
-    l1.stage_latency = std::max(l1.stage_latency, ingest);
+  for (std::size_t level = 0; level + 1 < tiers_.size(); ++level) {
+    Bytes largest_sender = 0;
+    report.levels.push_back(flush_level(level, largest_sender));
+    report.propagation_latency += report.levels.back().stage_latency;
+    if (level == 1) max_host_uplink = largest_sender;  // host->pod
   }
-  report.levels.push_back(l1);
-
-  // ---- level 2: pod -> cluster root (RDMA fabric) -----------------------
-  LevelReport l2;
-  l2.level = "pod->cluster";
-  l2.receivers = 1;
-  l2.fan_in = pods_;
-  bool any_dirty = false;
-  for (int pod = 0; pod < pods_; ++pod) {
-    if (pod_dirty[static_cast<std::size_t>(pod)]) any_dirty = true;
-  }
-  if (any_dirty) {
-    root_ = SketchSnapshot();
-    for (int pod = 0; pod < pods_; ++pod) {
-      const auto& snap = pod_cache_[static_cast<std::size_t>(pod)];
-      root_.merge(snap);
-      if (!pod_dirty[static_cast<std::size_t>(pod)]) continue;
-      const Bytes bytes = snap.encoded_bytes();
-      ++l2.senders;
-      l2.bytes += bytes;
-      l2.stage_latency +=
-          model_.send_recv(bytes, collective::Domain::kInterNode) +
-          cfg_.merge_cost_per_series * static_cast<TimeNs>(snap.size());
-    }
-  }
-  report.levels.push_back(l2);
-  std::fill(rank_dirty_.begin(), rank_dirty_.end(), 0);
-
-  report.network_bytes = l1.bytes + l2.bytes;
+  report.intra_bytes = report.levels[0].bytes;
+  report.network_bytes = report.levels[1].bytes + report.levels[2].bytes;
   network_bytes_total_ += report.network_bytes;
-  report.propagation_latency =
-      l0.stage_latency + l1.stage_latency + l2.stage_latency;
 
   // The contended resource is a host's uplink NIC: it carries the merged
   // host sketch once per flush interval, next to the job's training

@@ -84,8 +84,8 @@ class AggregationTree {
   /// ranks_per_host and hosts_per_pod are all positive.
   explicit AggregationTree(const AggTreeConfig& cfg);
 
-  int hosts() const { return hosts_; }
-  int pods() const { return pods_; }
+  int hosts() const { return static_cast<int>(tiers_[1].sketches.size()); }
+  int pods() const { return static_cast<int>(tiers_[2].sketches.size()); }
 
   /// Replaces rank's pending sketch (ranks re-snapshot every interval) and
   /// marks the rank's host/pod subtree dirty for the next flush. Taking the
@@ -94,8 +94,10 @@ class AggregationTree {
   /// [0, ranks).
   void submit(int rank, SketchSnapshot snapshot);
 
-  /// Merges every level bottom-up, charges traffic and latency, and
-  /// returns the accounting. The merged cluster snapshot is in root().
+  /// Merges bottom-up, charges traffic and latency, and returns the
+  /// accounting. The merged cluster snapshot is in root(). One routine
+  /// runs each level in turn (rank->host, host->pod, pod->cluster): the
+  /// root is the pod level's parent, one receiver of fan-in pods().
   ///
   /// Dirty-subtree short-circuit: every aggregator retains its children's
   /// last sketches, so a rank with no submit() since the previous flush
@@ -106,7 +108,7 @@ class AggregationTree {
   FlushReport flush();
 
   /// Cluster-wide merged snapshot of the last flush.
-  const SketchSnapshot& root() const { return root_; }
+  const SketchSnapshot& root() const { return tiers_.back().sketches[0]; }
 
   /// Oracle: single-level merge of every leaf in rank order. flush() must
   /// agree with this (approx_same) — the tree must not lose or double-
@@ -117,17 +119,23 @@ class AggregationTree {
   Bytes network_bytes_total() const { return network_bytes_total_; }
 
  private:
+  /// One tier of nodes: ranks, hosts, pods, then the single root. A
+  /// rank's sketch is its last submit; any other node's is the retained
+  /// merge of its children. dirty = changed since the parent merged it.
+  struct Tier {
+    std::vector<SketchSnapshot> sketches;
+    std::vector<char> dirty;
+    int fan_in = 0;  // children per node (0 for ranks)
+  };
+
+  /// Merges tier `level` into tier `level + 1` (see flush()) and clears
+  /// the children's flags. Sets `largest_sender` to the biggest sketch
+  /// shipped.
+  LevelReport flush_level(std::size_t level, Bytes& largest_sender);
+
   AggTreeConfig cfg_;
   collective::CollectiveModel model_;
-  int hosts_ = 0;
-  int pods_ = 0;
-  std::vector<SketchSnapshot> leaves_;
-  /// Dirty flags since the last flush (see flush() doc).
-  std::vector<char> rank_dirty_;
-  /// Retained per-host / per-pod aggregates, rebuilt only when dirty.
-  std::vector<SketchSnapshot> host_cache_;
-  std::vector<SketchSnapshot> pod_cache_;
-  SketchSnapshot root_;
+  std::vector<Tier> tiers_;
   Bytes network_bytes_total_ = 0;
 };
 

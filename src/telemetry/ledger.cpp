@@ -3,8 +3,6 @@
 #include "prof/profiler.h"
 
 #include <algorithm>
-#include <bit>
-#include <cassert>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -33,7 +31,16 @@ const char* lost_cause_name(LostCause cause) {
 }
 
 RunLedger::RunLedger(const LedgerConfig& cfg) : cfg_(cfg) {
-  assert(cfg_.duration > 0 && cfg_.interval > 0);
+  // finalize() divides by both, so a non-positive one aborts with a
+  // message in every build mode (an assert would vanish under NDEBUG).
+  const auto check = [](TimeNs v, const char* what) {
+    if (v > 0) return;
+    std::fprintf(stderr, "RunLedger: %s must be positive (got %lld)\n", what,
+                 static_cast<long long>(v));
+    std::abort();
+  };
+  check(cfg_.duration, "duration");
+  check(cfg_.interval, "interval");
 }
 
 void RunLedger::set_steady_state(const SteadyState& steady) {
@@ -122,10 +129,6 @@ namespace {
 
 TimeNs overlap(TimeNs a_lo, TimeNs a_hi, TimeNs b_lo, TimeNs b_hi) {
   return std::max<TimeNs>(0, std::min(a_hi, b_hi) - std::max(a_lo, b_lo));
-}
-
-void fold_double(check::Digest& d, double v) {
-  d.fold(std::bit_cast<std::uint64_t>(v));
 }
 
 }  // namespace
@@ -239,11 +242,11 @@ std::uint64_t ledger_digest(const LedgerSeries& series) {
   d.fold(series.duration);
   d.fold(series.interval);
   d.fold(series.steady.step_time);
-  fold_double(d, series.steady.mfu);
-  fold_double(d, series.steady.tokens_per_second);
+  d.fold_bits(series.steady.mfu);
+  d.fold_bits(series.steady.tokens_per_second);
   for (const auto& [name, share] : series.step_loss_shares) {
     d.fold(std::string_view(name));
-    fold_double(d, share);
+    d.fold_bits(share);
   }
   for (const auto& row : series.intervals) {
     d.fold(static_cast<std::uint64_t>(row.index));
@@ -252,16 +255,16 @@ std::uint64_t ledger_digest(const LedgerSeries& series) {
     d.fold(row.effective);
     for (TimeNs l : row.lost) d.fold(l);
     d.fold(static_cast<std::uint64_t>(row.restarts));
-    fold_double(d, row.goodput_tokens_per_second);
-    fold_double(d, row.mfu);
-    fold_double(d, row.ettr_cum);
+    d.fold_bits(row.goodput_tokens_per_second);
+    d.fold_bits(row.mfu);
+    d.fold_bits(row.ettr_cum);
   }
-  fold_double(d, series.totals.ettr);
+  d.fold_bits(series.totals.ettr);
   for (TimeNs l : series.totals.lost) d.fold(l);
   d.fold(static_cast<std::uint64_t>(series.totals.restarts));
-  fold_double(d, series.totals.tokens_total);
-  fold_double(d, series.totals.goodput_fraction);
-  fold_double(d, series.totals.mfu_mean);
+  d.fold_bits(series.totals.tokens_total);
+  d.fold_bits(series.totals.goodput_fraction);
+  d.fold_bits(series.totals.mfu_mean);
   return d.value();
 }
 

@@ -110,6 +110,8 @@ struct LedgerSeries {
 
 class RunLedger {
  public:
+  /// Aborts with a message (in every build mode) unless duration and
+  /// interval are both positive.
   explicit RunLedger(const LedgerConfig& cfg);
 
   void set_steady_state(const SteadyState& steady);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <type_traits>
 
 #include "core/log.h"
 
@@ -13,6 +14,15 @@ Labels canonical(Labels labels) {
   return labels;
 }
 }  // namespace
+
+const char* kind_name(MetricKind kind) {
+  switch (kind) {
+    case MetricKind::kCounter: return "counter";
+    case MetricKind::kGauge: return "gauge";
+    case MetricKind::kHistogram: return "histogram";
+  }
+  return "?";
+}
 
 std::string encode_labels(const Labels& labels) {
   if (labels.empty()) return "";
@@ -45,41 +55,34 @@ const MetricSample* MetricsSnapshot::find(const std::string& name,
   return nullptr;
 }
 
-MetricsRegistry::Cell& MetricsRegistry::cell(const std::string& name,
-                                             const Labels& labels,
-                                             MetricKind kind) {
+template <class T>
+T& MetricsRegistry::cell(const std::string& name, const Labels& labels) {
   Labels canon = canonical(labels);
   const std::string key = name + '|' + encode_labels(canon);
   MutexLock lock(mu_);
   auto it = index_.find(key);
   if (it != index_.end()) {
-    if (it->second->kind != kind) {
-      MS_LOG_ERROR << "metric '" << name << "' re-registered as a different kind";
-      std::abort();
-    }
-    return *it->second;
+    if (T* typed = std::get_if<T>(&it->second->value)) return *typed;
+    MS_LOG_ERROR << "metric '" << name << "' re-registered as a different kind";
+    std::abort();
   }
-  // Cell holds atomics and a mutex, so it is built in place, not moved.
-  Cell& c = cells_.emplace_back();
-  c.name = name;
-  c.labels = std::move(canon);
-  c.kind = kind;
+  Cell& c = cells_.emplace_back(name, std::move(canon), std::in_place_type<T>);
   index_.emplace(key, &c);
-  return c;
+  return std::get<T>(c.value);
 }
 
 Counter& MetricsRegistry::counter(const std::string& name,
                                   const Labels& labels) {
-  return cell(name, labels, MetricKind::kCounter).counter;
+  return cell<Counter>(name, labels);
 }
 
 Gauge& MetricsRegistry::gauge(const std::string& name, const Labels& labels) {
-  return cell(name, labels, MetricKind::kGauge).gauge;
+  return cell<Gauge>(name, labels);
 }
 
 Histogram& MetricsRegistry::histogram(const std::string& name,
                                       const Labels& labels) {
-  return cell(name, labels, MetricKind::kHistogram).histogram;
+  return cell<Histogram>(name, labels);
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
@@ -90,12 +93,16 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     MetricSample s;
     s.name = c.name;
     s.labels = c.labels;
-    s.kind = c.kind;
-    switch (c.kind) {
-      case MetricKind::kCounter: s.value = c.counter.value(); break;
-      case MetricKind::kGauge: s.value = c.gauge.value(); break;
-      case MetricKind::kHistogram: s.hist = c.histogram.snapshot(); break;
-    }
+    s.kind = static_cast<MetricKind>(c.value.index());
+    std::visit(
+        [&s](const auto& v) {
+          if constexpr (std::is_same_v<decltype(v), const Histogram&>) {
+            s.hist = v.snapshot();
+          } else {
+            s.value = v.value();
+          }
+        },
+        c.value);
     snap.samples.push_back(std::move(s));
   }
   // Surface histogram range overflow as a first-class counter: a sample
@@ -104,8 +111,9 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   // overflowing histogram cell makes that loss observable downstream
   // (Prometheus, dashboard) instead of a quiet lie.
   for (const auto& c : cells_) {
-    if (c.kind != MetricKind::kHistogram) continue;
-    const HdrHistogram h = c.histogram.snapshot();
+    const auto* histogram = std::get_if<Histogram>(&c.value);
+    if (histogram == nullptr) continue;
+    const HdrHistogram h = histogram->snapshot();
     if (h.overflow_count() == 0) continue;
     MetricSample o;
     o.name = "telemetry_sketch_overflow_total";
@@ -122,9 +130,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 void MetricsRegistry::reset() {
   MutexLock lock(mu_);
   for (auto& c : cells_) {
-    c.counter.reset();
-    c.gauge.reset();
-    c.histogram.reset();
+    std::visit([](auto& value) { value.reset(); }, c.value);
   }
 }
 

@@ -20,6 +20,7 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/mutex.h"
@@ -86,6 +87,9 @@ class Histogram {
 
 enum class MetricKind { kCounter, kGauge, kHistogram };
 
+/// "counter", "gauge" or "histogram" (the Prometheus TYPE names).
+const char* kind_name(MetricKind kind);
+
 /// One exported series: plain data, safe to hold across registry mutation.
 struct MetricSample {
   std::string name;
@@ -124,16 +128,22 @@ class MetricsRegistry {
   std::size_t series_count() const;
 
  private:
+  /// One series, holding only its own kind (the variant index is the
+  /// MetricKind). The kinds hold atomics or a mutex and cannot move, so
+  /// the value is built in place.
   struct Cell {
+    template <class T>
+    Cell(std::string n, Labels l, std::in_place_type_t<T> kind)
+        : name(std::move(n)), labels(std::move(l)), value(kind) {}
+
     std::string name;
     Labels labels;
-    MetricKind kind;
-    Counter counter;
-    Gauge gauge;
-    Histogram histogram;
+    std::variant<Counter, Gauge, Histogram> value;
   };
-  Cell& cell(const std::string& name, const Labels& labels, MetricKind kind)
-      MS_EXCLUDES(mu_);
+  /// The (name, labels) series, registered as a T on first use. Aborts if
+  /// it was registered as another kind.
+  template <class T>
+  T& cell(const std::string& name, const Labels& labels) MS_EXCLUDES(mu_);
 
   mutable Mutex mu_;
   // Stable addresses: handles outlive rehashing. The deque (not the cells

@@ -1,12 +1,56 @@
 #include "telemetry/sketch.h"
 
-#include <bit>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <type_traits>
 
 #include "check/digest.h"
 
 namespace ms::telemetry {
+
+namespace {
+
+// SketchValue's alternative index is its MetricKind.
+template <MetricKind K>
+using Alt =
+    std::variant_alternative_t<static_cast<std::size_t>(K), SketchValue>;
+static_assert(std::is_same_v<Alt<MetricKind::kCounter>, double> &&
+              std::is_same_v<Alt<MetricKind::kGauge>, GaugeStat> &&
+              std::is_same_v<Alt<MetricKind::kHistogram>, SparseHist>);
+
+template <class... F>
+struct Overloaded : F... {
+  using F::operator()...;
+};
+
+// A kind clash is a wiring bug with no sane fallback, so it aborts with a
+// message in every build mode.
+[[noreturn]] void kind_clash(const std::string& key, std::size_t is,
+                             std::size_t wanted) {
+  std::fprintf(stderr, "SketchSnapshot: series '%s' is a %s, not a %s\n",
+               key.c_str(), kind_name(static_cast<MetricKind>(is)),
+               kind_name(static_cast<MetricKind>(wanted)));
+  std::abort();
+}
+
+/// into += from for one series; both must hold the same kind.
+void merge_value(const std::string& key, SketchValue& into,
+                 const SketchValue& from) {
+  if (into.index() != from.index()) kind_clash(key, into.index(), from.index());
+  std::visit(
+      [&](auto& a) {
+        const auto& b = *std::get_if<std::decay_t<decltype(a)>>(&from);
+        if constexpr (std::is_same_v<decltype(b), const double&>) {
+          a += b;
+        } else {
+          a.merge(b);
+        }
+      },
+      into);
+}
+
+}  // namespace
 
 void GaugeStat::add(double v) {
   sum += v;
@@ -67,15 +111,6 @@ HdrHistogram SparseHist::dense() const {
   return out;
 }
 
-void SketchValue::merge(const SketchValue& other) {
-  if (kind != other.kind) std::abort();  // one kind per name (registry law)
-  switch (kind) {
-    case MetricKind::kCounter: counter += other.counter; break;
-    case MetricKind::kGauge: gauge.merge(other.gauge); break;
-    case MetricKind::kHistogram: hist.merge(other.hist); break;
-  }
-}
-
 const std::map<std::string, SketchValue>& SketchSnapshot::series() const {
   static const std::map<std::string, SketchValue> kEmpty;
   return state_ ? state_->series : kEmpty;
@@ -92,27 +127,25 @@ std::map<std::string, SketchValue>& SketchSnapshot::mutable_series() {
   return state_->series;
 }
 
-SketchValue& SketchSnapshot::slot(const std::string& key, MetricKind kind) {
-  auto [it, inserted] = mutable_series().try_emplace(key);
-  if (inserted) {
-    it->second.kind = kind;
-  } else if (it->second.kind != kind) {
-    std::abort();  // kind clash: same series key registered twice
-  }
-  return it->second;
+template <class T>
+T& SketchSnapshot::slot(const std::string& key) {
+  SketchValue& value =
+      mutable_series().try_emplace(key, std::in_place_type<T>).first->second;
+  if (T* typed = std::get_if<T>(&value)) return *typed;
+  kind_clash(key, value.index(), SketchValue(std::in_place_type<T>).index());
 }
 
 void SketchSnapshot::add_counter(const std::string& key, double value) {
-  slot(key, MetricKind::kCounter).counter += value;
+  slot<double>(key) += value;
 }
 
 void SketchSnapshot::add_gauge(const std::string& key, double value) {
-  slot(key, MetricKind::kGauge).gauge.add(value);
+  slot<GaugeStat>(key).add(value);
 }
 
 void SketchSnapshot::add_histogram(const std::string& key,
                                    const HdrHistogram& hist) {
-  slot(key, MetricKind::kHistogram).hist.merge(SparseHist(hist));
+  slot<SparseHist>(key).merge(SparseHist(hist));
 }
 
 void SketchSnapshot::merge(const SketchSnapshot& other) {
@@ -135,7 +168,7 @@ void SketchSnapshot::merge(const SketchSnapshot& other) {
     int order = 1;  // one string compare per step: <0 advance, 0 match
     while (it != series.end() && (order = it->first.compare(key)) < 0) ++it;
     if (order == 0) {
-      it->second.merge(value);  // aborts on kind clash (registry law)
+      merge_value(key, it->second, value);  // aborts on a kind clash
       ++it;
     } else {
       it = series.emplace_hint(it, key, value);
@@ -153,58 +186,46 @@ Bytes SketchSnapshot::encoded_bytes() const {
   // 4-field statistic, histograms a 24-byte header plus a sparse
   // (varint bucket index ~ 2 bytes, count ~ 8 bytes) pair per non-empty
   // bucket plus under/overflow/total/sum/min/max in the header.
-  Bytes total = 16;
-  for (const auto& [key, value] : state_->series) {
-    total += static_cast<Bytes>(key.size()) + 3;
-    switch (value.kind) {
-      case MetricKind::kCounter: total += 8; break;
-      case MetricKind::kGauge: total += 32; break;
-      case MetricKind::kHistogram: {
-        const auto& head = value.hist.header();
-        const std::size_t buckets = value.hist.entries().size() +
+  const auto payload = Overloaded{
+      [](double) -> Bytes { return 8; },
+      [](const GaugeStat&) -> Bytes { return 32; },
+      [](const SparseHist& hist) -> Bytes {
+        const auto& head = hist.header();
+        const std::size_t buckets = hist.entries().size() +
                                     (head.underflow > 0 ? 1 : 0) +
                                     (head.overflow > 0 ? 1 : 0);
-        total += 24 + 10 * static_cast<Bytes>(buckets);
-        break;
-      }
-    }
+        return 24 + 10 * static_cast<Bytes>(buckets);
+      }};
+  Bytes total = 16;
+  for (const auto& [key, value] : state_->series) {
+    total += static_cast<Bytes>(key.size()) + 3 + std::visit(payload, value);
   }
   state_->encoded_bytes.store(total, std::memory_order_relaxed);
   return total;
 }
 
-namespace {
-
-void fold_double(check::Digest& d, double v) {
-  d.fold(std::bit_cast<std::uint64_t>(v));
-}
-
-}  // namespace
-
 std::uint64_t SketchSnapshot::digest() const {
   check::Digest d;
-  for (const auto& [key, value] : series()) {
-    d.fold(std::string_view(key));
-    d.fold(static_cast<std::uint64_t>(value.kind));
-    switch (value.kind) {
-      case MetricKind::kCounter:
-        fold_double(d, value.counter);
-        break;
-      case MetricKind::kGauge:
-        fold_double(d, value.gauge.sum);
-        fold_double(d, value.gauge.min);
-        fold_double(d, value.gauge.max);
-        d.fold(value.gauge.count);
-        break;
-      case MetricKind::kHistogram:
-        d.fold(value.hist.total());
-        fold_double(d, value.hist.sum());
-        for (const auto& b : value.hist.dense().nonzero_buckets()) {
-          fold_double(d, b.lo);
+  const auto fold_value = Overloaded{
+      [&](double counter) { d.fold_bits(counter); },
+      [&](const GaugeStat& gauge) {
+        d.fold_bits(gauge.sum);
+        d.fold_bits(gauge.min);
+        d.fold_bits(gauge.max);
+        d.fold(gauge.count);
+      },
+      [&](const SparseHist& hist) {
+        d.fold(hist.total());
+        d.fold_bits(hist.sum());
+        for (const auto& b : hist.dense().nonzero_buckets()) {
+          d.fold_bits(b.lo);
           d.fold(b.count);
         }
-        break;
-    }
+      }};
+  for (const auto& [key, value] : series()) {
+    d.fold(std::string_view(key));
+    d.fold(static_cast<std::uint64_t>(value.index()));  // the MetricKind
+    std::visit(fold_value, value);
   }
   return d.value();
 }
@@ -224,20 +245,25 @@ SketchSnapshot SketchSnapshot::from(const MetricsSnapshot& snapshot) {
 
 namespace {
 
-bool close(double a, double b, double rel_tol) {
+bool same(double a, double b, double rel_tol) {
   if (a == b) return true;  // covers +/-inf sentinels in empty gauges
   const double scale = std::max(std::fabs(a), std::fabs(b));
   return std::fabs(a - b) <= rel_tol * scale;
 }
 
-bool hist_same(const SparseHist& a, const SparseHist& b, double rel_tol) {
+bool same(const GaugeStat& a, const GaugeStat& b, double rel_tol) {
+  return a.count == b.count && same(a.sum, b.sum, rel_tol) &&
+         same(a.min, b.min, rel_tol) && same(a.max, b.max, rel_tol);
+}
+
+bool same(const SparseHist& a, const SparseHist& b, double rel_tol) {
   const auto& ha = a.header();
   const auto& hb = b.header();
   if (ha.total != hb.total || ha.underflow != hb.underflow ||
       ha.overflow != hb.overflow) {
     return false;
   }
-  if (!close(ha.sum, hb.sum, rel_tol)) return false;
+  if (!same(ha.sum, hb.sum, rel_tol)) return false;
   if (ha.total > 0 && (ha.min != hb.min || ha.max != hb.max)) return false;
   const auto& ea = a.entries();
   const auto& eb = b.entries();
@@ -259,25 +285,15 @@ bool approx_same(const SketchSnapshot& a, const SketchSnapshot& b,
   auto ib = b.series().begin();
   for (; ia != a.series().end(); ++ia, ++ib) {
     if (ia->first != ib->first) return false;
-    const SketchValue& va = ia->second;
     const SketchValue& vb = ib->second;
-    if (va.kind != vb.kind) return false;
-    switch (va.kind) {
-      case MetricKind::kCounter:
-        if (!close(va.counter, vb.counter, rel_tol)) return false;
-        break;
-      case MetricKind::kGauge:
-        if (va.gauge.count != vb.gauge.count ||
-            !close(va.gauge.sum, vb.gauge.sum, rel_tol) ||
-            !close(va.gauge.min, vb.gauge.min, rel_tol) ||
-            !close(va.gauge.max, vb.gauge.max, rel_tol)) {
-          return false;
-        }
-        break;
-      case MetricKind::kHistogram:
-        if (!hist_same(va.hist, vb.hist, rel_tol)) return false;
-        break;
-    }
+    if (ia->second.index() != vb.index()) return false;
+    const bool agree = std::visit(
+        [&](const auto& va) {
+          return same(va, *std::get_if<std::decay_t<decltype(va)>>(&vb),
+                      rel_tol);
+        },
+        ia->second);
+    if (!agree) return false;
   }
   return true;
 }

@@ -10,10 +10,11 @@
 // encoded-size model so the aggregation tree (telemetry/aggregator.h) can
 // charge its own traffic through the network cost models.
 //
-// Memory matches the wire model. A histogram is held the way it is
+// Memory matches the wire model. A series value is a std::variant of the
+// three kinds, so a counter is one double and a gauge one GaugeStat, with
+// no storage for the other kinds. A histogram is held the way it is
 // charged: sorted (bucket index, count) pairs on the HdrHistogram layout
-// plus its header (SparseHist), not the 672-bucket dense array, so a
-// counter or gauge series carries no histogram storage at all.
+// plus its header (SparseHist), not the 672-bucket dense array.
 //
 // Copy-on-write: a snapshot's series map sits behind a shared pointer.
 // Copying a snapshot (AggregationTree::submit of one sketch to 12k ranks)
@@ -37,6 +38,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/stats.h"
@@ -89,17 +91,11 @@ class SparseHist {
   std::vector<Entry> entries_;
 };
 
-/// One mergeable series value, tagged by kind.
-struct SketchValue {
-  MetricKind kind = MetricKind::kCounter;
-  double counter = 0;  // kCounter
-  GaugeStat gauge;     // kGauge
-  SparseHist hist;     // kHistogram
-
-  /// Merges same-kind values; aborts on a kind clash (the registry
-  /// guarantees one kind per name, so a clash is a wiring bug).
-  void merge(const SketchValue& other);
-};
+/// One mergeable series value: a counter's running sum, a gauge's
+/// statistic or a histogram. The alternative index is the MetricKind
+/// (kCounter, kGauge, kHistogram in that order), so a value holds exactly
+/// its own kind's state and the index is the kind tag digests fold.
+using SketchValue = std::variant<double, GaugeStat, SparseHist>;
 
 /// One node's (or subtree's) metric state: series key -> mergeable value.
 /// Keys are "name{labels}" via encode_labels, so two ranks exporting the
@@ -144,7 +140,11 @@ class SketchSnapshot {
 
   /// The map, cloned first if another snapshot shares it; stales the memo.
   std::map<std::string, SketchValue>& mutable_series();
-  SketchValue& slot(const std::string& key, MetricKind kind);
+  /// key's value, created as a T if absent. Aborts with a message if the
+  /// series already holds another kind (one kind per name is a registry
+  /// law, so a clash is a wiring bug); merge() checks the same way.
+  template <class T>
+  T& slot(const std::string& key);
 
   /// Null for an empty snapshot (no allocation until the first write).
   std::shared_ptr<State> state_;

@@ -5,7 +5,9 @@
 // sub-interval propagation, small overhead fraction).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <variant>
 
 #include "core/stats.h"
 #include "telemetry/aggregator.h"
@@ -32,6 +34,10 @@ SketchSnapshot rank_snapshot(int rank) {
   return SketchSnapshot::from(reg.snapshot());
 }
 
+double root_counter(const AggregationTree& tree, const std::string& key) {
+  return std::get<double>(tree.root().series().at(key));
+}
+
 TEST(Aggregator, TopologyMath) {
   AggregationTree tree(small_tree());
   EXPECT_EQ(tree.hosts(), 8);
@@ -46,9 +52,11 @@ TEST(Aggregator, FlushMatchesFlatMergeOracle) {
   // 1 steps_total + 64 per-rank fault series + 1 mfu + 1 histogram.
   EXPECT_EQ(tree.root().size(), 67u);
   // The cluster view: every rank's counter summed, every gauge sampled.
-  EXPECT_DOUBLE_EQ(tree.root().series().at("steps_total").counter, 6400.0);
-  EXPECT_EQ(tree.root().series().at("mfu").gauge.count, 64u);
-  EXPECT_EQ(tree.root().series().at("step_seconds").hist.total(), 64u);
+  EXPECT_DOUBLE_EQ(root_counter(tree, "steps_total"), 6400.0);
+  EXPECT_EQ(std::get<GaugeStat>(tree.root().series().at("mfu")).count, 64u);
+  EXPECT_EQ(
+      std::get<SparseHist>(tree.root().series().at("step_seconds")).total(),
+      64u);
 }
 
 TEST(Aggregator, LevelAccountingMatchesTopology) {
@@ -120,7 +128,7 @@ TEST(Aggregator, ResubmitReplacesPendingSketch) {
   // Rank 0 re-snapshots before the flush: latest wins, no double count.
   tree.submit(0, rank_snapshot(0));
   tree.flush();
-  EXPECT_DOUBLE_EQ(tree.root().series().at("steps_total").counter, 6400.0);
+  EXPECT_DOUBLE_EQ(root_counter(tree, "steps_total"), 6400.0);
 }
 
 TEST(Aggregator, SelfTelemetryCountsFlushes) {
@@ -147,7 +155,7 @@ TEST(Aggregator, RaggedLastHostAndPod) {
   for (int r = 0; r < cfg.ranks; ++r) tree.submit(r, rank_snapshot(r));
   tree.flush();
   EXPECT_TRUE(approx_same(tree.root(), tree.flat_merge()));
-  EXPECT_DOUBLE_EQ(tree.root().series().at("steps_total").counter, 1300.0);
+  EXPECT_DOUBLE_EQ(root_counter(tree, "steps_total"), 1300.0);
 }
 
 TEST(Aggregator, SharedSubmissionIsIsolatedFromItsSource) {
@@ -164,8 +172,76 @@ TEST(Aggregator, SharedSubmissionIsIsolatedFromItsSource) {
   source.merge(rank_snapshot(1));
   EXPECT_EQ(tree.root().digest(), before);
   EXPECT_EQ(tree.root().encoded_bytes(), bytes_before);
-  EXPECT_DOUBLE_EQ(tree.root().series().at("steps_total").counter, 6400.0);
+  EXPECT_DOUBLE_EQ(root_counter(tree, "steps_total"), 6400.0);
   EXPECT_TRUE(approx_same(tree.root(), tree.flat_merge()));
+}
+
+// The two dirty-subtree cases below pin exact FlushReport values recorded
+// with the three hand-written level blocks the one-level flush replaced:
+// bytes, senders and integer nanoseconds must not move.
+
+TEST(Aggregator, PartialResubmitShipsOnlyItsPath) {
+  AggregationTree tree(small_tree());
+  for (int r = 0; r < 64; ++r) tree.submit(r, rank_snapshot(r));
+  tree.flush();
+  const SketchSnapshot fresh = rank_snapshot(100);  // a new fault series
+  tree.submit(37, fresh);  // host 4, pod 1
+  const FlushReport report = tree.flush();
+  ASSERT_EQ(report.levels.size(), 3u);
+  const Bytes bytes[] = {160, 408, 1224};
+  const TimeNs latency[] = {4601, 13668, 17304};
+  const int receivers[] = {8, 2, 1};
+  const int fan_in[] = {8, 4, 2};
+  for (std::size_t i = 0; i < 3; ++i) {
+    SCOPED_TRACE(report.levels[i].level);
+    EXPECT_EQ(report.levels[i].senders, 1);
+    EXPECT_EQ(report.levels[i].bytes, bytes[i]);
+    EXPECT_EQ(report.levels[i].stage_latency, latency[i]);
+    EXPECT_EQ(report.levels[i].receivers, receivers[i]);
+    EXPECT_EQ(report.levels[i].fan_in, fan_in[i]);
+  }
+  EXPECT_EQ(report.levels[0].bytes, fresh.encoded_bytes());
+  EXPECT_EQ(report.intra_bytes, 160);
+  EXPECT_EQ(report.network_bytes, 1632);
+  EXPECT_EQ(report.propagation_latency, 35573);
+  EXPECT_EQ(report.per_host_uplink, 4080.0);
+  EXPECT_EQ(report.overhead_fraction, 2.2666666666666668e-08);
+  EXPECT_EQ(tree.network_bytes_total(), 5602 + 1632);
+  // Clean siblings were reused, not dropped: the root still sees every rank.
+  EXPECT_TRUE(approx_same(tree.root(), tree.flat_merge()));
+  EXPECT_EQ(tree.root().digest(), 0x82b2179a795c4ccaull);
+}
+
+TEST(Aggregator, CleanFlushShipsNothing) {
+  AggregationTree tree(small_tree());
+  for (int r = 0; r < 64; ++r) tree.submit(r, rank_snapshot(r));
+  const FlushReport first = tree.flush();
+  const Bytes bytes[] = {10166, 3176, 2426};
+  const TimeNs latency[] = {36800, 54669, 34607};
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(first.levels[i].bytes, bytes[i]);
+    EXPECT_EQ(first.levels[i].stage_latency, latency[i]);
+  }
+  EXPECT_EQ(first.propagation_latency, 126076);
+  EXPECT_EQ(first.per_host_uplink, 4070.0);
+  const std::uint64_t digest = tree.root().digest();
+  EXPECT_EQ(digest, 0x2db02b3a6fe1f2aeull);
+
+  const FlushReport clean = tree.flush();
+  ASSERT_EQ(clean.levels.size(), 3u);
+  for (const LevelReport& level : clean.levels) {
+    SCOPED_TRACE(level.level);
+    EXPECT_EQ(level.senders, 0);
+    EXPECT_EQ(level.bytes, 0);
+    EXPECT_EQ(level.stage_latency, 0);
+  }
+  EXPECT_EQ(clean.intra_bytes, 0);
+  EXPECT_EQ(clean.network_bytes, 0);
+  EXPECT_EQ(clean.propagation_latency, 0);
+  EXPECT_EQ(clean.per_host_uplink, 0.0);
+  EXPECT_EQ(clean.overhead_fraction, 0.0);
+  EXPECT_EQ(tree.root().digest(), digest);
+  EXPECT_EQ(tree.network_bytes_total(), first.network_bytes);
 }
 
 // Release-safe input checks: these fire with NDEBUG too (they are not

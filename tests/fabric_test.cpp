@@ -10,6 +10,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "diag/flight_recorder.h"
@@ -312,7 +313,9 @@ TEST(Observatory, SketchExportCarriesPerLinkSeries) {
   for (const auto& [key, value] : sketch.series()) {
     EXPECT_EQ(key.rfind("fabric_", 0), 0u) << key;
     ++fabric_series;
-    if (key.rfind("fabric_tx_bytes_total", 0) == 0) tx_total += value.counter;
+    if (key.rfind("fabric_tx_bytes_total", 0) == 0) {
+      tx_total += std::get<double>(value);
+    }
   }
   EXPECT_GE(fabric_series, params.hops);
   EXPECT_GT(tx_total, 0.0);

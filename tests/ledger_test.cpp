@@ -172,6 +172,18 @@ TEST(Ledger, DifferentSeedDifferentDigest) {
 
 // ------------------------------------------------------------- JSONL
 
+// finalize() divides by the interval, so a bad config must abort with a
+// message even under NDEBUG rather than die of SIGFPE later.
+TEST(LedgerDeathTest, RejectsNonPositiveDurationOrInterval) {
+  LedgerConfig cfg;
+  cfg.interval = 0;
+  EXPECT_DEATH(RunLedger{cfg},
+               "RunLedger: interval must be positive \\(got 0\\)");
+  cfg = LedgerConfig();
+  cfg.duration = -hours(1.0);
+  EXPECT_DEATH(RunLedger{cfg}, "RunLedger: duration must be positive");
+}
+
 TEST(Ledger, JsonlRoundTripIsLossless) {
   const auto run = run_and_ingest(0x41);
   const std::string text = to_jsonl(run.series);

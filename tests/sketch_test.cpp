@@ -9,6 +9,7 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "check/digest.h"
@@ -93,7 +94,7 @@ TEST(Sketch, CountersAdd) {
   a.add_counter("x", 3.0);
   b.add_counter("x", 4.0);
   a.merge(b);
-  EXPECT_DOUBLE_EQ(a.series().at("x").counter, 7.0);
+  EXPECT_DOUBLE_EQ(std::get<double>(a.series().at("x")), 7.0);
 }
 
 TEST(Sketch, DistinctLabelSetsStayDistinct) {
@@ -113,7 +114,8 @@ TEST(Sketch, HistogramBucketsAddElementWise) {
   a.add_histogram("lat", h1);
   b.add_histogram("lat", h2);
   a.merge(b);
-  const HdrHistogram merged = a.series().at("lat").hist.dense();
+  const HdrHistogram merged =
+      std::get<SparseHist>(a.series().at("lat")).dense();
   EXPECT_EQ(merged.total(), 14u);
   EXPECT_NEAR(merged.quantile(0.5), 0.010, 0.010 * 0.08);
 }
@@ -171,11 +173,11 @@ TEST(Sketch, FromRegistrySnapshotRoundTrips) {
 
   SketchSnapshot s = SketchSnapshot::from(reg.snapshot());
   EXPECT_EQ(s.size(), 4u);
-  EXPECT_DOUBLE_EQ(s.series().at("steps_total").counter, 42.0);
-  const auto& g = s.series().at("mfu").gauge;
+  EXPECT_DOUBLE_EQ(std::get<double>(s.series().at("steps_total")), 42.0);
+  const auto& g = std::get<GaugeStat>(s.series().at("mfu"));
   EXPECT_EQ(g.count, 1u);
   EXPECT_DOUBLE_EQ(g.mean(), 0.61);
-  EXPECT_EQ(s.series().at("step_seconds").hist.total(), 2u);
+  EXPECT_EQ(std::get<SparseHist>(s.series().at("step_seconds")).total(), 2u);
 }
 
 TEST(Sketch, TwoRanksSameSeriesMergeOntoOneEntry) {
@@ -185,7 +187,7 @@ TEST(Sketch, TwoRanksSameSeriesMergeOntoOneEntry) {
   SketchSnapshot merged = SketchSnapshot::from(r0.snapshot());
   merged.merge(SketchSnapshot::from(r1.snapshot()));
   EXPECT_EQ(merged.size(), 1u);
-  EXPECT_DOUBLE_EQ(merged.series().at("steps_total").counter, 42.0);
+  EXPECT_DOUBLE_EQ(std::get<double>(merged.series().at("steps_total")), 42.0);
 }
 
 // ------------------------------------------- sparse vs dense oracle
@@ -274,7 +276,8 @@ TEST(SparseHist, SeededOracleMatchesDensePath) {
     EXPECT_EQ(sparse.digest(), dense_digest(dense)) << "trial " << trial;
     EXPECT_EQ(sparse.encoded_bytes(), dense_encoded_bytes(dense));
     for (const auto& [key, ref] : dense) {
-      const HdrHistogram back = sparse.series().at(key).hist.dense();
+      const HdrHistogram back =
+          std::get<SparseHist>(sparse.series().at(key)).dense();
       expect_same_buckets(back.nonzero_buckets(), ref.nonzero_buckets());
       EXPECT_EQ(back.total(), ref.total());
       EXPECT_EQ(back.underflow_count(), ref.underflow_count());
@@ -353,13 +356,37 @@ TEST(SketchCow, SelfMergeDoubles) {
   twice.merge(sample_snapshot(1));
   a.merge(a);
   EXPECT_EQ(a.digest(), twice.digest());
-  EXPECT_DOUBLE_EQ(a.series().at("steps_total").counter, 202.0);
-  EXPECT_EQ(a.series().at("step_seconds").hist.total(), 32u);
+  EXPECT_DOUBLE_EQ(std::get<double>(a.series().at("steps_total")), 202.0);
+  EXPECT_EQ(std::get<SparseHist>(a.series().at("step_seconds")).total(), 32u);
   // A copy sharing a's map merges the same way.
   SketchSnapshot b = a;
   a.merge(b);
-  EXPECT_EQ(a.series().at("step_seconds").hist.total(), 64u);
-  EXPECT_EQ(b.series().at("step_seconds").hist.total(), 32u);
+  EXPECT_EQ(std::get<SparseHist>(a.series().at("step_seconds")).total(), 64u);
+  EXPECT_EQ(std::get<SparseHist>(b.series().at("step_seconds")).total(), 32u);
+}
+
+// ------------------------------------------------------ kind clashes
+
+// One kind per series is a registry law, so a clash is a wiring bug: it
+// aborts with a message naming the series in every build mode.
+TEST(SketchDeathTest, KindClashThroughAddNamesTheSeries) {
+  SketchSnapshot s;
+  s.add_counter("steps_total", 1.0);
+  EXPECT_DEATH(s.add_gauge("steps_total", 0.5),
+               "SketchSnapshot: series 'steps_total' is a counter, "
+               "not a gauge");
+  HdrHistogram h;
+  h.add(1.0);
+  EXPECT_DEATH(s.add_histogram("steps_total", h),
+               "series 'steps_total' is a counter, not a histogram");
+}
+
+TEST(SketchDeathTest, KindClashThroughMergeNamesTheSeries) {
+  SketchSnapshot a = sample_snapshot(1);
+  SketchSnapshot b;
+  b.add_counter("mfu", 1.0);
+  EXPECT_DEATH(a.merge(b),
+               "SketchSnapshot: series 'mfu' is a gauge, not a counter");
 }
 
 }  // namespace

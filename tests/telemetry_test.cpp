@@ -113,6 +113,16 @@ TEST(Metrics, SnapshotThenResetGivesWindows) {
   EXPECT_EQ(reg.snapshot().find("step_seconds")->hist.total(), 0u);
 }
 
+// A name keeps one kind: a cell holds only its own kind's value, so a
+// second registration as another kind has nothing to hand back.
+TEST(MetricsDeathTest, ReRegisteringAsAnotherKindAborts) {
+  MetricsRegistry reg;
+  reg.counter("steps_total").add();
+  EXPECT_DEATH(reg.gauge("steps_total"), "re-registered as a different kind");
+  EXPECT_DEATH(reg.histogram("steps_total"),
+               "re-registered as a different kind");
+}
+
 // --------------------------------------------------------------- tracer
 
 TEST(Tracer, RecordsSpansInOrder) {

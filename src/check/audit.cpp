@@ -1,11 +1,10 @@
 #include "check/audit.h"
 
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <unordered_map>
 #include <utility>
 
+#include "core/fatal.h"
 #include "core/mutex.h"
 #include "core/thread_annotations.h"
 
@@ -60,10 +59,8 @@ std::uint64_t Auditor::report(const char* domain, const char* invariant,
   }
   if (sink) sink(delivered);
   if (im.abort_on_violation.load(std::memory_order_relaxed)) {
-    std::fprintf(stderr, "MS_AUDIT violation [%s/%s]: %s\n",
-                 delivered.domain.c_str(), delivered.invariant.c_str(),
-                 delivered.message.c_str());
-    std::abort();
+    fatal("MS_AUDIT violation [%s/%s]: %s", delivered.domain.c_str(),
+          delivered.invariant.c_str(), delivered.message.c_str());
   }
   return delivered.count;
 }

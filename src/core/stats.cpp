@@ -1,6 +1,7 @@
 #include "core/stats.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
@@ -73,8 +74,17 @@ std::size_t HdrHistogram::bucket_index(double x) {
 }
 
 double HdrHistogram::bucket_lo(std::size_t i) {
-  return kRangeLo *
-         std::pow(10.0, static_cast<double>(i) / kBucketsPerDecade);
+  // One pow per bound, once per process: digests and exporters read
+  // thousands of bounds per snapshot.
+  static const std::array<double, kBuckets + 1> lo = [] {
+    std::array<double, kBuckets + 1> out{};
+    for (std::size_t k = 0; k < out.size(); ++k) {
+      out[k] = kRangeLo *
+               std::pow(10.0, static_cast<double>(k) / kBucketsPerDecade);
+    }
+    return out;
+  }();
+  return lo[i];
 }
 
 void HdrHistogram::add(double x, std::uint64_t count) {

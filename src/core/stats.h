@@ -146,10 +146,12 @@ class HdrHistogram {
   void set_bucket_count(std::size_t i, std::uint64_t count) {
     counts_[i] = count;
   }
+  /// Lower bound of sized bucket i (the `lo` nonzero_buckets() reports),
+  /// so sparse encodings can name a bucket without a dense copy.
+  static double bucket_lo(std::size_t i);
 
  private:
   static std::size_t bucket_index(double x);
-  static double bucket_lo(std::size_t i);
 
   std::vector<std::uint64_t> counts_;
   Header head_;

@@ -1,11 +1,12 @@
 // Cross-rank dependency DAG reconstruction (MegaScale §5.2).
 //
-// The engine emits structured `k=v` attributes on every span (see
-// sim::OpSpec::detail): compute ops carry their (stage, chunk, microbatch,
-// pass) coordinates, transfers carry both endpoints, collectives carry
-// their group. DepGraph rebuilds the step's dependency structure purely
-// from those attributes — no access to the original GraphExecutor — which
-// is exactly the situation of a post-mortem: all you have is the trace.
+// The engine emits structured `k=v` attributes on every traced span (typed
+// as sim::OpAttrs in process, rendered by engine::append_attrs): compute ops
+// carry their (stage, chunk, microbatch, pass) coordinates, transfers carry
+// both endpoints, collectives carry their group. DepGraph rebuilds the
+// step's dependency structure purely from those attributes — no access to
+// the original GraphExecutor — which is exactly the situation of a
+// post-mortem: all you have is the trace.
 //
 // Edge inventory:
 //   * program order within one hardware queue (`stream=` attr, or the rank

@@ -18,8 +18,9 @@ struct TraceSpan {
   std::string tag;
   TimeNs start = 0;
   TimeNs end = 0;
-  /// Structured attributes (`k=v` tokens, see sim::OpSpec::detail). Carried
-  /// into chrome-trace `args` and consumed by diag::DepGraph.
+  /// Structured attributes (`k=v` tokens; the engine renders them from
+  /// sim::OpAttrs with engine::append_attrs). Carried into chrome-trace `args`
+  /// and consumed by diag::DepGraph.
   std::string detail;
 };
 

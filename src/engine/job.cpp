@@ -1,10 +1,10 @@
 #include "engine/job.h"
 
 #include <algorithm>
-#include <cassert>
-#include <map>
 #include <string>
+#include <string_view>
 
+#include "core/fatal.h"
 #include "parallel/overlap.h"
 #include "parallel/pipeline.h"
 #include "parallel/zero.h"
@@ -25,6 +25,15 @@ sim::StreamId compute_stream(int s) { return s * kStreamsPerStage + 0; }
 sim::StreamId send_stream(int s) { return s * kStreamsPerStage + 1; }
 sim::StreamId recv_stream(int s) { return s * kStreamsPerStage + 2; }
 sim::StreamId dp_stream(int s) { return s * kStreamsPerStage + 3; }
+
+const char* coll_name(sim::OpAttrs::Coll c) {
+  switch (c) {
+    case sim::OpAttrs::Coll::kAllGather: return "allgather";
+    case sim::OpAttrs::Coll::kReduceScatter: return "reducescatter";
+    case sim::OpAttrs::Coll::kAllReduce: return "allreduce";
+  }
+  return "";
+}
 
 struct ChunkTimes {
   TimeNs fwd = 0;  // one microbatch through one model chunk, TP comm folded
@@ -86,104 +95,47 @@ std::string describe(const JobConfig& cfg) {
   return out;
 }
 
-IterationResult simulate_iteration(const JobConfig& cfg) {
-  MS_PROF_SCOPE("engine.simulate_iteration");
-  const std::string err = validate(cfg);
-  assert(err.empty() && "invalid JobConfig");
-  if (!err.empty()) return {};
+namespace {
 
+/// Every duration and payload the step graph needs, from the cost models.
+struct StepCosts {
+  ChunkTimes chunk;
+  Bytes p2p_bytes = 0;
+  TimeNs p2p_time = 0;
+  TimeNs dp_ag_chunk = 0;  // per chunk; 0 when dp == 1
+  TimeNs dp_rs_chunk = 0;
+  Bytes dp_ag_bytes = 0;  // per call
+  Bytes dp_rs_bytes = 0;
+  TimeNs optimizer = 0;
+};
+
+/// Builds one replica's step DAG on `graph` and returns its data-load op.
+sim::OpId build_graph(const JobConfig& cfg, const StepCosts& costs,
+                      sim::GraphExecutor& graph) {
+  MS_PROF_SCOPE("engine.build_graph");
   const auto& par = cfg.par;
   const int pp = par.pp;
   const int vpp = par.vpp;
   const int m = cfg.microbatches_per_replica();
-  const int layers_per_chunk = cfg.model.layers / (pp * vpp);
-  const std::int64_t micro_tokens = cfg.model.seq_len;  // 1 sequence/microbatch
-  const std::int64_t elem_tokens =
-      par.sequence_parallel ? micro_tokens / par.tp : micro_tokens;
+  const ChunkTimes& chunk = costs.chunk;
 
-  const model::OpCostModel cost(cfg.model, cfg.ops, cfg.cluster.gpu);
-  collective::CollectiveModel coll(cfg.cluster, cfg.network_efficiency);
-  coll.set_metrics(cfg.metrics);
-  const parallel::Zero2Sharding zero(model::params_count(cfg.model), par);
+  // Op and dependency counts, so the build never reallocates. Every
+  // schedule visits each (stage, chunk, microbatch, pass) exactly once.
+  // All but the first forward and the last backward of each microbatch
+  // receive a transfer: two ops (send + recv, or blocking send +
+  // recv-wait) and at most three dependencies.
+  const auto compute_count = static_cast<std::size_t>(pp * vpp * m * 2);
+  const std::size_t transfer_count =
+      compute_count - 2 * static_cast<std::size_t>(m);
+  const int dp_ops_per_stage =
+      par.dp > 1 ? (cfg.overlap.dp_overlap ? 2 * vpp : 2) : 0;
+  const std::size_t op_count =
+      1 + compute_count + 2 * transfer_count +
+      static_cast<std::size_t>(pp * (dp_ops_per_stage + 1));
+  graph.reserve(op_count, op_count + transfer_count);
 
-  // ---- per-layer TP/SP communication (§3.2, Figure 3) ----
-  const Bytes act_bytes = micro_tokens * cfg.model.hidden * 2;
-  // Parallel transformer block: attention and MLP branch from the same
-  // LN(x), so one all-gather feeds both and one reduce-scatter merges both.
-  const int tp_comms_per_layer = cfg.model.parallel_block ? 1 : 2;
-  TimeNs tp_comm_fwd_layer = 0;
-  if (par.tp > 1) {
-    const TimeNs ag =
-        coll.all_gather(act_bytes, par.tp, collective::Domain::kIntraNode);
-    const TimeNs rs =
-        coll.reduce_scatter(act_bytes, par.tp, collective::Domain::kIntraNode);
-    tp_comm_fwd_layer = tp_comms_per_layer * (ag + rs);
-  }
-  const TimeNs tp_comm_bwd_layer = tp_comm_fwd_layer;  // mirrored pattern
-
-  // ---- chunk compute durations with TP comm folded in ----
-  const TimeNs fwd_layer_compute =
-      cost.fwd_layer(micro_tokens, elem_tokens, par.tp);
-  const TimeNs bwd_layer_compute =
-      cost.bwd_layer(micro_tokens, elem_tokens, par.tp);
-
-  auto fold_tp = [&](TimeNs compute, TimeNs comm) -> TimeNs {
-    if (comm == 0) return compute;
-    if (cfg.overlap.tp_overlap) {
-      return parallel::chunked_overlap(compute, comm,
-                                       cfg.overlap.tp_overlap_chunks)
-          .total;
-    }
-    return compute + comm;
-  };
-
-  ChunkTimes chunk;
-  chunk.fwd = layers_per_chunk * fold_tp(fwd_layer_compute, tp_comm_fwd_layer);
-  chunk.bwd = layers_per_chunk * fold_tp(bwd_layer_compute, tp_comm_bwd_layer);
-  if (cfg.full_recompute) {
-    // The backward pass first re-runs the chunk's forward (including its
-    // TP communication) to rebuild activations from the stored boundary.
-    chunk.bwd += chunk.fwd;
-  }
-  const TimeNs logits_fwd = cost.fwd_logits(micro_tokens, par.tp);
-  chunk.fwd_last = chunk.fwd + logits_fwd;
-  chunk.bwd_last = chunk.bwd + 2 * logits_fwd;
-
-  // ---- pipeline p2p transfer ----
-  const Bytes p2p_bytes =
-      par.sequence_parallel ? act_bytes / par.tp : act_bytes;
-  const TimeNs p2p_time =
-      coll.send_recv(p2p_bytes, collective::Domain::kInterNode);
-
-  // ---- DP collectives (ZeRO, §2 Figure 1) ----
-  // Stage 2 (the paper's choice): param all-gather forward + gradient
-  // reduce-scatter backward — together exactly one all-reduce's volume.
-  // Stage 1: gradients are still all-reduced in full (2x the reduce-scatter
-  // volume) and updated params all-gathered.
-  // Stage 3: parameters are re-gathered for the backward pass as well
-  // (second all-gather per chunk).
-  TimeNs dp_ag_chunk = 0, dp_rs_chunk = 0;
-  if (par.dp > 1) {
-    dp_ag_chunk = coll.all_gather(zero.allgather_bytes_per_chunk(), par.dp,
-                                  collective::Domain::kInterNode);
-    dp_rs_chunk = coll.reduce_scatter(zero.reducescatter_bytes_per_chunk(),
-                                      par.dp, collective::Domain::kInterNode);
-    if (par.zero_stage <= 1) {
-      dp_rs_chunk = coll.all_reduce(zero.reducescatter_bytes_per_chunk(),
-                                    par.dp, collective::Domain::kInterNode);
-    } else if (par.zero_stage >= 3) {
-      dp_ag_chunk *= 2;  // forward + backward parameter gathers
-    }
-  }
-  const TimeNs optimizer_time =
-      cost.optimizer_step(zero.optimizer_shard_params());
-
-  // ---- build the DAG ----
-  sim::Engine sim_engine;
-  sim::GraphExecutor graph(static_cast<std::size_t>(pp * kStreamsPerStage + 1));
   const sim::StreamId data_stream =
       static_cast<sim::StreamId>(pp * kStreamsPerStage);
-
   const TimeNs data_time =
       cfg.overlap.async_data_pipeline ? 0 : cfg.data_pipeline_time;
   const sim::OpId data_op = graph.add_op(
@@ -203,30 +155,32 @@ IterationResult simulate_iteration(const JobConfig& cfg) {
     const double f = cfg.link_speed.empty()
                          ? 1.0
                          : cfg.link_speed[static_cast<std::size_t>(producer_stage)];
-    return static_cast<TimeNs>(static_cast<double>(p2p_time) * f);
+    return static_cast<TimeNs>(static_cast<double>(costs.p2p_time) * f);
   };
 
-  // Structured span attributes (parsed by diag::DepGraph; grammar in
-  // sim::OpSpec::detail). Transfers carry both endpoints so the analyzer
-  // can pair send/recv and walk back to the producing compute op.
-  auto compute_detail = [](int s, int chunk, int mb, bool is_bwd, bool head) {
-    std::string d = "s=" + std::to_string(s) + " c=" + std::to_string(chunk) +
-                    " mb=" + std::to_string(mb) +
-                    " p=" + (is_bwd ? std::string("b") : std::string("f"));
-    if (head) d += " head=1";
-    return d;
+  // Typed span attributes (sim::OpAttrs), rendered to the `k=v` grammar
+  // diag::DepGraph parses only on the tracer route of simulate_iteration.
+  // Transfers carry both endpoints so the analyzer can pair send/recv and
+  // walk back to the producing compute op.
+  using Shape = sim::OpAttrs::Shape;
+  auto compute_attrs = [](int s, int c, int mb, bool is_bwd, bool head) {
+    return sim::OpAttrs{.shape = Shape::kCompute, .bwd = is_bwd,
+                        .head = head, .stage = s, .chunk = c, .mb = mb};
   };
-  auto transfer_detail = [&](int from, int to, int cons_chunk, int prod_chunk,
-                             int mb, bool is_bwd) {
-    return "p=" + (is_bwd ? std::string("b") : std::string("f")) +
-           " mb=" + std::to_string(mb) + " from=" + std::to_string(from) +
-           " to=" + std::to_string(to) + " c=" + std::to_string(cons_chunk) +
-           " pc=" + std::to_string(prod_chunk) +
-           " B=" + std::to_string(p2p_bytes);
+  auto transfer_attrs = [&](int from, int to, int cons_chunk, int prod_chunk,
+                            int mb, bool is_bwd) {
+    return sim::OpAttrs{.shape = Shape::kTransfer, .bwd = is_bwd,
+                        .chunk = cons_chunk, .mb = mb, .from = from,
+                        .to = to, .prod_chunk = prod_chunk,
+                        .bytes = costs.p2p_bytes};
   };
 
-  // Compute op per (stage, chunk, microbatch, pass).
-  std::map<std::tuple<int, int, int, int>, sim::OpId> compute_ops;
+  // Compute op per (stage, chunk, microbatch, pass), densely indexed.
+  auto op_index = [&](int s, int c, int mb, bool is_bwd) {
+    return static_cast<std::size_t>(((s * vpp + c) * m + mb) * 2 +
+                                    (is_bwd ? 1 : 0));
+  };
+  std::vector<sim::OpId> compute_ops(compute_count, sim::kInvalidOp);
 
   // Incoming-transfer topology. Producer of F(s,c,mb):
   //   s > 0            -> F(s-1, c,   mb)
@@ -269,8 +223,11 @@ IterationResult simulate_iteration(const JobConfig& cfg) {
   // and can be blocked by the slower one", §3.2); in decoupled (MegaScale)
   // mode they live on dedicated streams and only the data dependency
   // remains.
-  std::map<std::tuple<int, int, int, int>, sim::OpId> recv_ops;  // consumer key
-  std::map<std::tuple<int, int, int, int>, sim::OpId> send_ops;  // producer key
+  std::vector<sim::OpId> recv_ops, send_ops;  // coupled mode, by op_index
+  if (!cfg.overlap.pp_decouple) {
+    recv_ops.assign(compute_count, sim::kInvalidOp);  // consumer index
+    send_ops.assign(compute_count, sim::kInvalidOp);  // producer index
+  }
   std::vector<std::vector<parallel::ScheduleEntry>> schedules(
       static_cast<std::size_t>(pp));
   for (int s = 0; s < pp; ++s) {
@@ -285,48 +242,45 @@ IterationResult simulate_iteration(const JobConfig& cfg) {
     };
     for (const auto& e : schedules[static_cast<std::size_t>(s)]) {
       const bool is_bwd = e.pass == PassType::kBackward;
-      const auto key = std::make_tuple(s, e.chunk, e.microbatch, is_bwd ? 1 : 0);
+      const std::size_t key = op_index(s, e.chunk, e.microbatch, is_bwd);
 
       const Endpoint prod = producer_of(s, e);
       if (!cfg.overlap.pp_decouple && prod.exists) {
         // Blocking receive: the coupled send/recv holds the receiving side
         // for the whole transfer too (no compute proceeds under it).
-        sim::OpId rcv = graph.add_op(
+        recv_ops[key] = graph.add_op(
             {.name = "recv-wait",
              .stream = compute_stream(s),
              .duration = scaled_p2p(prod.stage),
              .tag = "pp-comm",
-             .detail = transfer_detail(prod.stage, s, e.chunk, prod.chunk,
-                                       e.microbatch, is_bwd)});
-        recv_ops[key] = rcv;
-        chain(rcv);
+             .attrs = transfer_attrs(prod.stage, s, e.chunk, prod.chunk,
+                                     e.microbatch, is_bwd)});
+        chain(recv_ops[key]);
       }
 
       const bool has_head = (s == pp - 1) && (e.chunk == vpp - 1);
       TimeNs dur = is_bwd ? (has_head ? chunk.bwd_last : chunk.bwd)
                           : (has_head ? chunk.fwd_last : chunk.fwd);
       dur = scaled(dur, s);
-      sim::OpId op = graph.add_op(
+      compute_ops[key] = graph.add_op(
           {.name = is_bwd ? "bwd" : "fwd",
            .stream = compute_stream(s),
            .duration = dur,
            .tag = is_bwd ? "bwd" : "fwd",
-           .detail = compute_detail(s, e.chunk, e.microbatch, is_bwd, has_head)});
-      compute_ops[key] = op;
-      chain(op);
+           .attrs = compute_attrs(s, e.chunk, e.microbatch, is_bwd, has_head)});
+      chain(compute_ops[key]);
 
       const Endpoint cons = consumer_of(s, e);
       if (!cfg.overlap.pp_decouple && cons.exists) {
         // Blocking send occupies the compute stream for the wire time.
-        sim::OpId snd = graph.add_op(
+        send_ops[key] = graph.add_op(
             {.name = "send",
              .stream = compute_stream(s),
              .duration = scaled_p2p(s),
              .tag = "pp-comm",
-             .detail = transfer_detail(s, cons.stage, cons.chunk, e.chunk,
-                                       e.microbatch, is_bwd)});
-        send_ops[key] = snd;
-        chain(snd);
+             .attrs = transfer_attrs(s, cons.stage, cons.chunk, e.chunk,
+                                     e.microbatch, is_bwd)});
+        chain(send_ops[key]);
       }
     }
   }
@@ -335,7 +289,7 @@ IterationResult simulate_iteration(const JobConfig& cfg) {
   for (int s = 0; s < pp; ++s) {
     for (const auto& e : schedules[static_cast<std::size_t>(s)]) {
       const bool is_bwd = e.pass == PassType::kBackward;
-      const auto key = std::make_tuple(s, e.chunk, e.microbatch, is_bwd ? 1 : 0);
+      const std::size_t key = op_index(s, e.chunk, e.microbatch, is_bwd);
       const sim::OpId consumer = compute_ops[key];
       const Endpoint prod = producer_of(s, e);
       if (!prod.exists) {
@@ -343,27 +297,27 @@ IterationResult simulate_iteration(const JobConfig& cfg) {
           graph.add_dep(data_op, consumer);  // F(0, 0, mb): needs input data
         } else {
           // B(pp-1, vpp-1, mb) starts from the local loss computation.
-          graph.add_dep(compute_ops[{s, e.chunk, e.microbatch, 0}], consumer);
+          graph.add_dep(compute_ops[op_index(s, e.chunk, e.microbatch, false)],
+                        consumer);
         }
         continue;
       }
-      const auto prod_key = std::make_tuple(prod.stage, prod.chunk,
-                                            prod.microbatch, prod.is_bwd);
-      const sim::OpId producer = compute_ops[prod_key];
+      const std::size_t prod_key = op_index(prod.stage, prod.chunk,
+                                            prod.microbatch, prod.is_bwd != 0);
       if (cfg.overlap.pp_decouple) {
-        const std::string td = transfer_detail(prod.stage, s, e.chunk,
-                                               prod.chunk, e.microbatch, is_bwd);
+        const sim::OpAttrs attrs = transfer_attrs(
+            prod.stage, s, e.chunk, prod.chunk, e.microbatch, is_bwd);
         sim::OpId snd = graph.add_op({.name = "send",
                                       .stream = send_stream(prod.stage),
                                       .duration = scaled_p2p(prod.stage),
                                       .tag = "pp-comm",
-                                      .detail = td});
+                                      .attrs = attrs});
         sim::OpId rcv = graph.add_op({.name = "recv",
                                       .stream = recv_stream(s),
                                       .duration = 0,
                                       .tag = "pp-comm",
-                                      .detail = td});
-        graph.add_dep(producer, snd);
+                                      .attrs = attrs});
+        graph.add_dep(compute_ops[prod_key], snd);
         graph.add_dep(snd, rcv);
         graph.add_dep(rcv, consumer);
       } else {
@@ -375,7 +329,6 @@ IterationResult simulate_iteration(const JobConfig& cfg) {
   }
 
   // Third pass: DP collectives + optimizer per stage.
-  std::vector<sim::OpId> optimizer_ops;
   for (int s = 0; s < pp; ++s) {
     const auto& sched = schedules[static_cast<std::size_t>(s)];
     // First forward / last backward per chunk on this stage.
@@ -385,7 +338,8 @@ IterationResult simulate_iteration(const JobConfig& cfg) {
                                     sim::kInvalidOp);
     for (const auto& e : sched) {
       const bool is_bwd = e.pass == PassType::kBackward;
-      const sim::OpId op = compute_ops[{s, e.chunk, e.microbatch, is_bwd ? 1 : 0}];
+      const sim::OpId op =
+          compute_ops[op_index(s, e.chunk, e.microbatch, is_bwd)];
       if (!is_bwd && first_fwd[static_cast<std::size_t>(e.chunk)] ==
                          sim::kInvalidOp) {
         first_fwd[static_cast<std::size_t>(e.chunk)] = op;
@@ -399,39 +353,37 @@ IterationResult simulate_iteration(const JobConfig& cfg) {
       // calibration): `op=` names the wire collective (ZeRO stage <= 1
       // all-reduces under the reduce-scatter op name), `B=` the per-call
       // payload, `calls=` how many back-to-back calls the span folds.
+      using Coll = sim::OpAttrs::Coll;
       const int ag_calls = par.zero_stage >= 3 ? 2 : 1;
-      const char* rs_op = par.zero_stage <= 1 ? "allreduce" : "reducescatter";
-      auto coll_detail = [&](const std::string& base, const char* op,
-                             Bytes bytes, int calls) {
-        std::string d = base + " op=" + op + " B=" + std::to_string(bytes);
-        if (calls > 1) d += " calls=" + std::to_string(calls);
-        return d;
+      const Coll rs_op =
+          par.zero_stage <= 1 ? Coll::kAllReduce : Coll::kReduceScatter;
+      // chunk -1: a bucketed collective spans every chunk (no `c=`).
+      auto coll_attrs = [&](int c, Coll op, Bytes bytes, int calls) {
+        return sim::OpAttrs{.shape = Shape::kCollective, .coll = op,
+                            .stage = s, .chunk = c, .n = par.dp,
+                            .calls = calls, .bytes = bytes};
       };
-      const Bytes ag_bytes = zero.allgather_bytes_per_chunk();
-      const Bytes rs_bytes = zero.reducescatter_bytes_per_chunk();
       if (cfg.overlap.dp_overlap) {
         // Chunk-wise, priority-ordered: the all-gather of the chunk needed
         // first carries the highest priority; the first one starts at t=0,
         // overlapping the data pipeline (the FSDP-inspired prefetch).
         for (int c = 0; c < vpp; ++c) {
-          const std::string dd = "s=" + std::to_string(s) +
-                                 " c=" + std::to_string(c) +
-                                 " grp=dp n=" + std::to_string(par.dp);
           sim::OpId ag = graph.add_op(
               {.name = "dp-allgather",
                .stream = dp_stream(s),
-               .duration = dp_ag_chunk,
+               .duration = costs.dp_ag_chunk,
                .priority = vpp - c,
                .tag = "dp-comm",
-               .detail = coll_detail(dd, "allgather", ag_bytes, ag_calls)});
+               .attrs = coll_attrs(c, Coll::kAllGather, costs.dp_ag_bytes,
+                                   ag_calls)});
           graph.add_dep(ag, first_fwd[static_cast<std::size_t>(c)]);
           sim::OpId rs = graph.add_op(
               {.name = "dp-reducescatter",
                .stream = dp_stream(s),
-               .duration = dp_rs_chunk,
+               .duration = costs.dp_rs_chunk,
                .priority = c,
                .tag = "dp-comm",
-               .detail = coll_detail(dd, rs_op, rs_bytes, 1)});
+               .attrs = coll_attrs(c, rs_op, costs.dp_rs_bytes, 1)});
           graph.add_dep(last_bwd[static_cast<std::size_t>(c)], rs);
           rs_ops.push_back(rs);
         }
@@ -439,15 +391,13 @@ IterationResult simulate_iteration(const JobConfig& cfg) {
         // Bucketed at the iteration edges: one all-gather before any
         // compute, one reduce-scatter after all backwards (the exposed
         // pattern of stock data-parallel synchronization).
-        const std::string dd =
-            "s=" + std::to_string(s) + " grp=dp n=" + std::to_string(par.dp);
         sim::OpId ag = graph.add_op(
             {.name = "dp-allgather",
              .stream = dp_stream(s),
-             .duration = vpp * dp_ag_chunk,
+             .duration = vpp * costs.dp_ag_chunk,
              .tag = "dp-comm",
-             .detail =
-                 coll_detail(dd, "allgather", ag_bytes, vpp * ag_calls)});
+             .attrs = coll_attrs(-1, Coll::kAllGather, costs.dp_ag_bytes,
+                                 vpp * ag_calls)});
         graph.add_dep(data_op, ag);
         for (int c = 0; c < vpp; ++c) {
           graph.add_dep(ag, first_fwd[static_cast<std::size_t>(c)]);
@@ -455,9 +405,9 @@ IterationResult simulate_iteration(const JobConfig& cfg) {
         sim::OpId rs = graph.add_op(
             {.name = "dp-reducescatter",
              .stream = dp_stream(s),
-             .duration = vpp * dp_rs_chunk,
+             .duration = vpp * costs.dp_rs_chunk,
              .tag = "dp-comm",
-             .detail = coll_detail(dd, rs_op, rs_bytes, vpp)});
+             .attrs = coll_attrs(-1, rs_op, costs.dp_rs_bytes, vpp)});
         for (int c = 0; c < vpp; ++c) {
           graph.add_dep(last_bwd[static_cast<std::size_t>(c)], rs);
         }
@@ -465,20 +415,121 @@ IterationResult simulate_iteration(const JobConfig& cfg) {
       }
     }
 
-    sim::OpId opt = graph.add_op({.name = "optimizer",
-                                  .stream = compute_stream(s),
-                                  .duration = scaled(optimizer_time, s),
-                                  .tag = "optimizer",
-                                  .detail = "s=" + std::to_string(s)});
+    sim::OpId opt = graph.add_op(
+        {.name = "optimizer",
+         .stream = compute_stream(s),
+         .duration = scaled(costs.optimizer, s),
+         .tag = "optimizer",
+         .attrs = sim::OpAttrs{.shape = Shape::kStage, .stage = s}});
     if (rs_ops.empty()) {
       for (int c = 0; c < vpp; ++c) {
         graph.add_dep(last_bwd[static_cast<std::size_t>(c)], opt);
       }
     }
     for (sim::OpId rs : rs_ops) graph.add_dep(rs, opt);
-    optimizer_ops.push_back(opt);
   }
+  return data_op;
+}
 
+}  // namespace
+
+IterationResult simulate_iteration(const JobConfig& cfg) {
+  MS_PROF_SCOPE("engine.simulate_iteration");
+  const std::string err = validate(cfg);
+  // A bad config has no sane answer (the graph build would index past its
+  // tables), so it aborts in every build mode. Every CLI validates first.
+  MS_CHECK(err.empty(), "engine: simulate_iteration: invalid JobConfig: %s",
+           err.c_str());
+
+  const auto& par = cfg.par;
+  const int pp = par.pp;
+  const int vpp = par.vpp;
+  const int layers_per_chunk = cfg.model.layers / (pp * vpp);
+  const std::int64_t micro_tokens = cfg.model.seq_len;  // 1 sequence/microbatch
+  const std::int64_t elem_tokens =
+      par.sequence_parallel ? micro_tokens / par.tp : micro_tokens;
+
+  const model::OpCostModel cost(cfg.model, cfg.ops, cfg.cluster.gpu);
+  collective::CollectiveModel coll(cfg.cluster, cfg.network_efficiency);
+  coll.set_metrics(cfg.metrics);
+  const parallel::Zero2Sharding zero(model::params_count(cfg.model), par);
+  StepCosts costs;
+
+  // ---- per-layer TP/SP communication (§3.2, Figure 3) ----
+  const Bytes act_bytes = micro_tokens * cfg.model.hidden * 2;
+  // Parallel transformer block: attention and MLP branch from the same
+  // LN(x), so one all-gather feeds both and one reduce-scatter merges both.
+  const int tp_comms_per_layer = cfg.model.parallel_block ? 1 : 2;
+  TimeNs tp_comm_fwd_layer = 0;
+  if (par.tp > 1) {
+    const TimeNs ag =
+        coll.all_gather(act_bytes, par.tp, collective::Domain::kIntraNode);
+    const TimeNs rs =
+        coll.reduce_scatter(act_bytes, par.tp, collective::Domain::kIntraNode);
+    tp_comm_fwd_layer = tp_comms_per_layer * (ag + rs);
+  }
+  const TimeNs tp_comm_bwd_layer = tp_comm_fwd_layer;  // mirrored pattern
+
+  // ---- chunk compute durations with TP comm folded in ----
+  const TimeNs fwd_layer_compute =
+      cost.fwd_layer(micro_tokens, elem_tokens, par.tp);
+  const TimeNs bwd_layer_compute =
+      cost.bwd_layer(micro_tokens, elem_tokens, par.tp);
+
+  auto fold_tp = [&](TimeNs compute, TimeNs comm) -> TimeNs {
+    if (comm == 0) return compute;
+    if (cfg.overlap.tp_overlap) {
+      return parallel::chunked_overlap(compute, comm,
+                                       cfg.overlap.tp_overlap_chunks)
+          .total;
+    }
+    return compute + comm;
+  };
+
+  ChunkTimes& chunk = costs.chunk;
+  chunk.fwd = layers_per_chunk * fold_tp(fwd_layer_compute, tp_comm_fwd_layer);
+  chunk.bwd = layers_per_chunk * fold_tp(bwd_layer_compute, tp_comm_bwd_layer);
+  if (cfg.full_recompute) {
+    // The backward pass first re-runs the chunk's forward (including its
+    // TP communication) to rebuild activations from the stored boundary.
+    chunk.bwd += chunk.fwd;
+  }
+  const TimeNs logits_fwd = cost.fwd_logits(micro_tokens, par.tp);
+  chunk.fwd_last = chunk.fwd + logits_fwd;
+  chunk.bwd_last = chunk.bwd + 2 * logits_fwd;
+
+  // ---- pipeline p2p transfer ----
+  costs.p2p_bytes = par.sequence_parallel ? act_bytes / par.tp : act_bytes;
+  costs.p2p_time =
+      coll.send_recv(costs.p2p_bytes, collective::Domain::kInterNode);
+
+  // ---- DP collectives (ZeRO, §2 Figure 1) ----
+  // Stage 2 (the paper's choice): param all-gather forward + gradient
+  // reduce-scatter backward — together exactly one all-reduce's volume.
+  // Stage 1: gradients are still all-reduced in full (2x the reduce-scatter
+  // volume) and updated params all-gathered.
+  // Stage 3: parameters are re-gathered for the backward pass as well
+  // (second all-gather per chunk).
+  costs.dp_ag_bytes = zero.allgather_bytes_per_chunk();
+  costs.dp_rs_bytes = zero.reducescatter_bytes_per_chunk();
+  if (par.dp > 1) {
+    costs.dp_ag_chunk = coll.all_gather(costs.dp_ag_bytes, par.dp,
+                                        collective::Domain::kInterNode);
+    costs.dp_rs_chunk = coll.reduce_scatter(costs.dp_rs_bytes, par.dp,
+                                            collective::Domain::kInterNode);
+    if (par.zero_stage <= 1) {
+      costs.dp_rs_chunk = coll.all_reduce(costs.dp_rs_bytes, par.dp,
+                                          collective::Domain::kInterNode);
+    } else if (par.zero_stage >= 3) {
+      costs.dp_ag_chunk *= 2;  // forward + backward parameter gathers
+    }
+  }
+  costs.optimizer = cost.optimizer_step(zero.optimizer_shard_params());
+
+  // ---- build and run the DAG ----
+  sim::Engine sim_engine;
+  sim::GraphExecutor graph(static_cast<std::size_t>(pp * kStreamsPerStage + 1));
+  const sim::OpId data_op = build_graph(cfg, costs, graph);
   const TimeNs makespan = graph.run(sim_engine);
 
   // ---- metrics ----
@@ -515,14 +566,15 @@ IterationResult simulate_iteration(const JobConfig& cfg) {
     result.stage_compute_busy[static_cast<std::size_t>(s)] =
         graph.stream_busy(compute_stream(s));
   }
-  result.spans = graph.records();
+  result.spans = graph.take_records();
 
   // ---- telemetry routing (§5: one substrate instead of ad-hoc copies) ----
   if (cfg.tracer != nullptr) {
     for (const auto& rec : result.spans) {
       // The stream id is appended so the analyzer can recover hardware-queue
       // program order even after spans are folded onto per-stage ranks.
-      std::string detail = rec.detail;
+      std::string detail;
+      append_attrs(detail, rec.attrs);
       if (!detail.empty()) detail += ' ';
       detail += "stream=" + std::to_string(rec.stream);
       cfg.tracer->record(stage_of_stream(rec.stream), rec.name, rec.tag,
@@ -531,11 +583,28 @@ IterationResult simulate_iteration(const JobConfig& cfg) {
   }
   if (cfg.metrics != nullptr) {
     auto& m = *cfg.metrics;
+    // One counter/histogram pair per op tag, registered at the tag's first
+    // op (the registration order of a per-op lookup).
+    struct TagSeries {
+      const std::string* tag;
+      telemetry::Counter* ops;
+      telemetry::Histogram* seconds;
+    };
+    std::vector<TagSeries> by_tag;
     for (const auto& rec : result.spans) {
-      const telemetry::Labels op_labels{{"op", rec.tag}};
-      m.counter("engine_ops_total", op_labels).add();
-      m.histogram("engine_op_seconds", op_labels)
-          .observe(to_seconds(rec.end - rec.start));
+      auto it = std::find_if(by_tag.begin(), by_tag.end(),
+                             [&](const TagSeries& t) {
+                               return *t.tag == rec.tag;
+                             });
+      if (it == by_tag.end()) {
+        const telemetry::Labels op_labels{{"op", rec.tag}};
+        auto& ops = m.counter("engine_ops_total", op_labels);
+        auto& seconds = m.histogram("engine_op_seconds", op_labels);
+        by_tag.push_back({&rec.tag, &ops, &seconds});
+        it = by_tag.end() - 1;
+      }
+      it->ops->add();
+      it->seconds->observe(to_seconds(rec.end - rec.start));
     }
     m.counter("engine_iterations_total").add();
     m.gauge("engine_iteration_seconds").set(iter_s);
@@ -551,8 +620,54 @@ IterationResult simulate_iteration(const JobConfig& cfg) {
 }
 
 double training_days(double total_tokens, double tokens_per_second) {
-  assert(tokens_per_second > 0);
+  MS_CHECK(tokens_per_second > 0,
+           "engine: training_days: tokens_per_second must be positive (got %g)",
+           tokens_per_second);
   return total_tokens / tokens_per_second / 86400.0;
+}
+
+void append_attrs(std::string& out, const sim::OpAttrs& a) {
+  using Shape = sim::OpAttrs::Shape;
+  auto put = [&](std::string_view key, std::string_view value) {
+    if (!out.empty()) out += ' ';
+    out += key;
+    out += '=';
+    out += value;
+  };
+  auto num = [](std::int64_t v) { return std::to_string(v); };
+  const std::string_view pass = a.bwd ? "b" : "f";
+  switch (a.shape) {
+    case Shape::kNone:
+      break;
+    case Shape::kCompute:
+      put("s", num(a.stage));
+      put("c", num(a.chunk));
+      put("mb", num(a.mb));
+      put("p", pass);
+      if (a.head) put("head", "1");
+      break;
+    case Shape::kTransfer:
+      put("p", pass);
+      put("mb", num(a.mb));
+      put("from", num(a.from));
+      put("to", num(a.to));
+      put("c", num(a.chunk));
+      put("pc", num(a.prod_chunk));
+      put("B", num(a.bytes));
+      break;
+    case Shape::kCollective:
+      put("s", num(a.stage));
+      if (a.chunk >= 0) put("c", num(a.chunk));
+      put("grp", "dp");
+      put("n", num(a.n));
+      put("op", coll_name(a.coll));
+      put("B", num(a.bytes));
+      if (a.calls > 1) put("calls", num(a.calls));
+      break;
+    case Shape::kStage:
+      put("s", num(a.stage));
+      break;
+  }
 }
 
 }  // namespace ms::engine

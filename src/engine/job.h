@@ -147,4 +147,11 @@ IterationResult simulate_iteration(const JobConfig& cfg);
 /// Days to push `total_tokens` through at the measured rate.
 double training_days(double total_tokens, double tokens_per_second);
 
+/// Appends the typed attributes of a simulate_iteration op to `out` as the
+/// space-separated `k=v` tokens diag::SpanAttrs parses (e.g.
+/// "s=1 c=0 mb=2 p=f", "p=f mb=2 from=0 to=1 c=0 pc=0 B=4096"), after a
+/// space when `out` is not empty; Shape::kNone appends nothing. The tracer
+/// route of simulate_iteration renders every span through this.
+void append_attrs(std::string& out, const sim::OpAttrs& attrs);
+
 }  // namespace ms::engine

@@ -1,8 +1,9 @@
 #include "engine/perturb.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+
+#include "core/fatal.h"
 
 namespace ms::engine {
 
@@ -37,8 +38,13 @@ StragglerFold fold_stragglers(const IterationResult& base,
   const int machines_per_replica =
       std::max(1, cfg.par.tp * cfg.par.pp / cfg.cluster.gpus_per_node);
   const int replicas = cfg.par.dp;
-  assert(static_cast<int>(machine_speed.size()) >=
-         machines_per_replica * replicas);
+  // A short speed vector would be read past its end: a caller bug, so it
+  // aborts with a message in every build mode.
+  const int needed = machines_per_replica * replicas;
+  MS_CHECK(static_cast<int>(machine_speed.size()) >= needed,
+           "engine: fold_stragglers: machine_speed has %zu entries, needs %d "
+           "(%d replicas x %d machines)",
+           machine_speed.size(), needed, replicas, machines_per_replica);
 
   StragglerFold fold;
   fold.worst_factor = 0.0;

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "check/audit.h"
+#include "core/fatal.h"
 #include "prof/profiler.h"
 #include "core/rng.h"
 #include "core/stats.h"
@@ -103,9 +102,7 @@ using MakeAlgorithm = std::function<std::unique_ptr<CcAlgorithm>()>;
 // hop would read outside the queue history), so it aborts with a message in
 // every build mode instead of through an assert that NDEBUG compiles out.
 void require(bool ok, const std::string& what) {
-  if (ok) return;
-  std::fprintf(stderr, "ccsim: %s\n", what.c_str());
-  std::abort();
+  MS_CHECK(ok, "ccsim: %s", what.c_str());
 }
 
 void validate(const MultiCcParams& p) {

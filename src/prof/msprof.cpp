@@ -34,6 +34,8 @@ namespace {
 // Figure-11 shape (mirrors bench/fig11_production_run.cpp).
 constexpr int kFig11Gpus = 12288;
 constexpr int kFig11Batch = 6144;
+// Figure 9's largest point: 40 replicas of tp 8 x pp 35, batch = GPUs.
+constexpr int kFig9Gpus = 11200;
 
 WorkloadResult result_from(const sim::Engine& eng) {
   WorkloadResult r;
@@ -106,6 +108,14 @@ WorkloadResult run_fig11_step() {
   auto job = bench::megascale_175b(kFig11Gpus, kFig11Batch);
   const auto fold = bench::run_with_cluster(job);
   (void)fold;
+  return {};
+}
+
+WorkloadResult run_fig9_step() {
+  MS_PROF_SCOPE("fig9.step");
+  const auto result =
+      engine::simulate_iteration(bench::megatron_530b(kFig9Gpus, kFig9Gpus));
+  (void)result;
   return {};
 }
 
@@ -216,12 +226,17 @@ WorkloadResult run_cc_storm() {
 }
 
 std::vector<std::string> workload_names() {
-  return {"micro_engine", "fig11_step", "fig11_production_run", "cc_storm"};
+  return {"micro_engine", "fig9_step", "fig11_step", "fig11_production_run",
+          "cc_storm"};
 }
 
 bool run_workload(const std::string& name, WorkloadResult& out) {
   if (name == "micro_engine") {
     out = run_micro_engine();
+    return true;
+  }
+  if (name == "fig9_step") {
+    out = run_fig9_step();
     return true;
   }
   if (name == "fig11_step") {

@@ -55,6 +55,11 @@ struct MicroEngineConfig {
 };
 WorkloadResult run_micro_engine(const MicroEngineConfig& cfg = {});
 
+/// One Megatron-LM step of the 530B model at Figure 9's largest point
+/// (11,200 GPUs, pp 35 x vpp 3, 280 microbatches): the biggest step graph
+/// any bench builds, so graph build and event loop dominate.
+WorkloadResult run_fig9_step();
+
 /// One steady-state MegaScale step at Figure-11 scale (12288 GPUs).
 WorkloadResult run_fig11_step();
 

@@ -13,7 +13,7 @@
 //      merge on snapshot() into the fixed-layout core HdrHistogram, the
 //      same mergeable sketch the telemetry registry speaks.
 //
-//   2. Counters for the event-allocation path (prof::count_alloc) and an
+//   2. An allocation counter (prof::count_alloc) and an
 //      optional self-trace ring: when tracing is on, every closed scope
 //      appends an (id, start, dur, tid) record, exported by prof/report.h
 //      as a Perfetto/Chrome trace whose track is the simulator process.
@@ -70,7 +70,7 @@ inline std::atomic<bool> g_enabled{false};
 // Self-trace capture switch (independent of g_enabled so aggregate
 // profiling does not pay the ring-append unless a trace was asked for).
 inline std::atomic<bool> g_tracing{false};
-// Allocation counter for the event-allocation path (sim::Engine::at).
+// Allocation counter fed by prof::count_alloc (sim::Engine's slab/heap growth).
 inline std::atomic<std::uint64_t> g_allocs{0};
 }  // namespace internal
 
@@ -87,10 +87,10 @@ inline bool tracing() {
 }
 void set_tracing(bool on);
 
-/// Counting hook for the event-allocation path: the engine calls this once
-/// per heap-backed event it schedules, so allocations/event is a gated
-/// bench metric (exact — allocation behaviour is deterministic even though
-/// durations are not).
+/// Counting hook for a hot path's allocations, so the profile reports them
+/// next to its time (exact: allocation behaviour is deterministic even
+/// though durations are not). sim::Engine::at calls it each time its
+/// callback slab or event heap grows.
 inline void count_alloc(std::uint64_t n = 1) {
   if (enabled()) {
     internal::g_allocs.fetch_add(n, std::memory_order_relaxed);

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "check/audit.h"
+#include "core/fatal.h"
 
 namespace ms::sim {
 
@@ -28,15 +29,32 @@ EventId Engine::at(TimeNs t, std::function<void()> fn, prof::ScopeId kind) {
   MS_AUDIT("sim.engine", "schedule_not_in_past", t >= now_,
            "at(" + std::to_string(t) + ") with now=" + std::to_string(now_));
   if (t < now_) t = now_;  // clamp: keeps time monotone even under misuse
-  const EventId id = next_id_++;
+  // The slab and the heap growing are the loop's own allocations (a
+  // callback too large for std::function's inline buffer is the caller's);
+  // the profile counts each growth.
+  std::uint32_t slot = free_head_;
+  if (slot != kNoSlot) {
+    free_head_ = slots_[slot].next_free;
+  } else {
+    // Overflowing the handle layout would alias live events, so it aborts
+    // in every build mode rather than corrupting the schedule.
+    MS_CHECK(slots_.size() <= kSlotMask,
+             "sim::Engine: more than 2^24 pending events");
+    slot = static_cast<std::uint32_t>(slots_.size());
+    if (slots_.size() == slots_.capacity()) MS_PROF_COUNT_ALLOC(1);
+    slots_.emplace_back();
+  }
+  MS_CHECK(next_seq_ >> (64 - kSlotBits) == 0,
+           "sim::Engine: event sequence exhausted");
+  const EventId id = (next_seq_++ << kSlotBits) | slot;
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  s.id = id;
+  s.kind = kind;
+  if (queue_.size() == queue_.capacity()) MS_PROF_COUNT_ALLOC(1);
   queue_.push(Entry{t, id});
-  callbacks_.emplace(id, Callback{std::move(fn), kind});
   ++live_;
   if (queue_.size() > peak_queue_size_) peak_queue_size_ = queue_.size();
-  // One heap-backed callback node per scheduled event: the allocation the
-  // ROADMAP item-2 slab rebuild is meant to eliminate. Deterministic, so
-  // the micro_engine bench gates allocs/event at exact tolerance.
-  MS_PROF_COUNT_ALLOC(1);
   return id;
 }
 
@@ -46,10 +64,17 @@ EventId Engine::after(TimeNs delay, std::function<void()> fn,
   return at(now_ + delay, std::move(fn), kind);
 }
 
+void Engine::release(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.fn = nullptr;
+  s.id = 0;
+  s.next_free = free_head_;
+  free_head_ = slot;
+}
+
 bool Engine::cancel(EventId id) {
-  auto it = callbacks_.find(id);
-  if (it == callbacks_.end()) return false;
-  callbacks_.erase(it);
+  if (!is_pending(id)) return false;
+  release(static_cast<std::uint32_t>(id & kSlotMask));
   --live_;
   ++cancelled_;
   return true;
@@ -62,7 +87,7 @@ bool Engine::pop_next(Entry& out, WallNs& boundary) {
   while (!queue_.empty()) {
     Entry e = queue_.top();
     queue_.pop();
-    if (callbacks_.count(e.id)) {
+    if (is_pending(e.id)) {
       out = e;
 #if defined(MS_PROF_ENABLED) && MS_PROF_ENABLED
       boundary = timer.stop();  // the event scope opens on this read
@@ -78,26 +103,30 @@ void Engine::fire(const Entry& e, WallNs& boundary) {
   MS_AUDIT("sim.engine", "time_monotonic", e.t >= now_,
            "event " + std::to_string(e.t) + "ns fired with clock at " +
                std::to_string(now_) + "ns");
+  const std::uint64_t seq = e.id >> kSlotBits;
   MS_AUDIT("sim.engine", "fifo_within_timestamp",
            e.t != last_fired_t_ || e.id > last_fired_id_,
-           "event id " + std::to_string(e.id) + " fired after id " +
-               std::to_string(last_fired_id_) + " at the same timestamp");
+           "event id " + std::to_string(seq) + " fired after id " +
+               std::to_string(last_fired_id_ >> kSlotBits) +
+               " at the same timestamp");
   now_ = e.t;
   last_fired_t_ = e.t;
   last_fired_id_ = e.id;
-  digest_.fold(e.id);
+  digest_.fold(seq);
   digest_.fold(e.t);
-  auto it = callbacks_.find(e.id);
-  // pop_next guaranteed presence; move the callback out before invoking so
-  // the callback may freely schedule/cancel.
-  Callback cb = std::move(it->second);
-  callbacks_.erase(it);
+  // pop_next guaranteed the slot is live; move the callback out and free
+  // the slot before invoking, so the callback may freely schedule (and
+  // grow the slab) or cancel, itself included.
+  const auto slot = static_cast<std::uint32_t>(e.id & kSlotMask);
+  std::function<void()> fn = std::move(slots_[slot].fn);
+  const prof::ScopeId kind = slots_[slot].kind;
+  release(slot);
   --live_;
   ++executed_;
   // Tombstone closure: every id ever issued is live, fired or cancelled.
   MS_AUDIT("sim.engine", "tombstone_closure",
-           next_id_ - 1 == executed_ + cancelled_ + live_,
-           "issued=" + std::to_string(next_id_ - 1) + " executed=" +
+           next_seq_ - 1 == executed_ + cancelled_ + live_,
+           "issued=" + std::to_string(next_seq_ - 1) + " executed=" +
                std::to_string(executed_) + " cancelled=" +
                std::to_string(cancelled_) + " live=" + std::to_string(live_));
 #if defined(MS_PROF_ENABLED) && MS_PROF_ENABLED
@@ -106,14 +135,15 @@ void Engine::fire(const Entry& e, WallNs& boundary) {
     // scope, the rest under "engine.event". One relaxed load + branch
     // when the profiler is dormant.
     prof::ScopeTimer timer(
-        cb.kind != prof::kInvalidScope ? cb.kind : default_event_scope(),
+        kind != prof::kInvalidScope ? kind : default_event_scope(),
         boundary);
-    cb.fn();
+    fn();
     boundary = timer.stop();
   }
 #else
   (void)boundary;
-  cb.fn();
+  (void)kind;
+  fn();
 #endif
 }
 

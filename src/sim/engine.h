@@ -6,12 +6,16 @@
 // just promised: every executed event is folded into digest(), and the
 // MS_AUDIT hooks check time monotonicity, FIFO ordering and tombstone
 // accounting as the run progresses (see check/audit.h).
+//
+// The loop allocates nothing per event: callbacks live in a slab of slots
+// recycled through an intrusive free list, so after warm-up an event costs
+// one heap push and one pop. Memory is bounded by the peak number of
+// pending events, not by the number of ids ever issued.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "check/digest.h"
@@ -21,6 +25,10 @@
 namespace ms::sim {
 
 /// Handle returned by schedule(); can cancel the event before it fires.
+/// It packs the event's sequence number (the high 40 bits: 1, 2, 3, ... in
+/// schedule order, the FIFO tiebreaker and digest input) above its slab
+/// slot (the low 24 bits), so cancel() checks a handle against its slot in
+/// O(1) and a stale handle never matches a recycled slot.
 using EventId = std::uint64_t;
 
 class Engine {
@@ -46,7 +54,8 @@ class Engine {
                 prof::ScopeId kind = prof::kInvalidScope);
 
   /// Cancels a pending event. Returns false if it already fired / was
-  /// cancelled. Cancellation is O(1): the slot is tombstoned.
+  /// cancelled. Cancellation is O(1): the slot is freed and its heap entry
+  /// becomes a tombstone.
   bool cancel(EventId id);
 
   /// Runs until the queue is drained or stop() is called.
@@ -94,20 +103,31 @@ class Engine {
   std::uint64_t tombstone_pops() const { return tombstone_pops_; }
 
   /// Total event ids ever issued (fired + cancelled + pending).
-  std::uint64_t scheduled() const { return next_id_ - 1; }
+  std::uint64_t scheduled() const { return next_seq_ - 1; }
 
-  /// Order-sensitive digest over every executed (event id, timestamp)
-  /// pair. Two runs of the same deterministic scenario produce identical
+  /// Order-sensitive digest over every executed (sequence number,
+  /// timestamp) pair. Two runs of the same deterministic scenario produce identical
   /// digests; see check/digest.h.
   std::uint64_t digest() const { return digest_.value(); }
 
  private:
+  static constexpr int kSlotBits = 24;
+  static constexpr EventId kSlotMask = (EventId{1} << kSlotBits) - 1;
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
   struct Entry {
     TimeNs t;
-    EventId id;  // also the FIFO tiebreaker
+    EventId id;  // seq above slot: ordering ids orders seqs (FIFO tiebreak)
     bool operator>(const Entry& o) const {
       return t != o.t ? t > o.t : id > o.id;
     }
+  };
+  /// One pending callback. A free slot has id 0 and links the free list.
+  struct Slot {
+    std::function<void()> fn;
+    EventId id = 0;
+    prof::ScopeId kind = prof::kInvalidScope;
+    std::uint32_t next_free = kNoSlot;
   };
 
   // `boundary` threads the self-profiler's clock reads through the event
@@ -121,9 +141,16 @@ class Engine {
   bool pop_next(Entry& out, WallNs& boundary);
   /// Audits ordering invariants, folds the digest, runs the callback.
   void fire(const Entry& e, WallNs& boundary);
+  /// True while `id` names the pending event in its slot.
+  bool is_pending(EventId id) const {
+    const EventId slot = id & kSlotMask;
+    return id != 0 && slot < slots_.size() && slots_[slot].id == id;
+  }
+  /// Returns a slot to the free list, destroying its callback.
+  void release(std::uint32_t slot);
 
   TimeNs now_ = 0;
-  EventId next_id_ = 1;
+  std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
   std::uint64_t cancelled_ = 0;
   std::uint64_t tombstone_pops_ = 0;
@@ -133,14 +160,15 @@ class Engine {
   TimeNs last_fired_t_ = -1;
   EventId last_fired_id_ = 0;
   check::Digest digest_;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue_;
-  struct Callback {
-    std::function<void()> fn;
-    prof::ScopeId kind = prof::kInvalidScope;
+  /// The min-heap, with its storage's capacity visible so growth can be
+  /// counted.
+  struct Queue
+      : std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> {
+    std::size_t capacity() const { return c.capacity(); }
   };
-  // id -> callback; erased on fire/cancel. Engine overhead is not the
-  // bottleneck in our experiments, so std::unordered_map is fine here.
-  std::unordered_map<EventId, Callback> callbacks_;
+  Queue queue_;
+  std::vector<Slot> slots_;
+  std::uint32_t free_head_ = kNoSlot;
 };
 
 }  // namespace ms::sim

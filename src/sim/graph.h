@@ -13,6 +13,7 @@
 #include <limits>
 #include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/time.h"
@@ -24,6 +25,38 @@ using OpId = std::int32_t;
 using StreamId = std::int32_t;
 
 constexpr OpId kInvalidOp = -1;
+
+/// Typed span attributes: what diag::DepGraph needs to rebuild the
+/// dependency graph from spans alone (pipeline position, transfer
+/// endpoints, collective sizes). Opaque to the executor, which only carries
+/// them from OpSpec to OpRecord. engine::append_attrs renders them as the
+/// `k=v` text diag::SpanAttrs parses, only where text is needed.
+struct OpAttrs {
+  /// Which fields the op carries (the renderer's token layout).
+  enum class Shape : std::uint8_t {
+    kNone,
+    kCompute,     // stage, chunk, mb, pass, head
+    kTransfer,    // pass, mb, from, to, chunk, prod_chunk, bytes
+    kCollective,  // stage, chunk (when >= 0), n, coll, bytes, calls
+    kStage,       // stage
+  };
+  /// The wire collective.
+  enum class Coll : std::uint8_t { kAllGather, kReduceScatter, kAllReduce };
+
+  Shape shape = Shape::kNone;
+  bool bwd = false;   // backward pass (else forward)
+  bool head = false;  // the chunk carries the logits head
+  Coll coll = Coll::kAllGather;
+  std::int32_t stage = 0;       // pipeline stage
+  std::int32_t chunk = -1;      // model chunk; -1 on a whole-stage collective
+  std::int32_t mb = 0;          // microbatch
+  std::int32_t from = 0;        // sending stage
+  std::int32_t to = 0;          // receiving stage
+  std::int32_t prod_chunk = 0;  // the producer's chunk
+  std::int32_t n = 0;           // collective group size
+  std::int32_t calls = 1;       // back-to-back calls
+  std::int64_t bytes = 0;       // payload per call
+};
 
 struct OpSpec {
   std::string name;
@@ -39,20 +72,21 @@ struct OpSpec {
   std::function<void(TimeNs start, TimeNs end)> on_finish;
   /// Free-form tag for span analysis (e.g. "fwd", "bwd", "dp-comm").
   std::string tag;
-  /// Structured attributes for dependency reconstruction, encoded as
-  /// space-separated `k=v` tokens (e.g. "s=1 c=0 mb=2 p=f to=2"). Parsed by
-  /// diag::DepGraph; opaque to the executor.
-  std::string detail;
+  /// Typed attributes for dependency reconstruction (see OpAttrs).
+  OpAttrs attrs;
 };
 
 /// Execution record for one op — the raw material for the §5 diagnosis
 /// tools (heat maps, timelines).
 struct OpRecord {
   OpId id = kInvalidOp;
+  StreamId stream = 0;
   std::string name;
   std::string tag;
+  /// Always empty: the attributes travel typed in `attrs`. Kept only
+  /// because the perfbench benchmark reads its capacity.
   std::string detail;
-  StreamId stream = 0;
+  OpAttrs attrs;
   TimeNs start = -1;
   TimeNs end = -1;
   bool done() const { return end >= 0; }
@@ -62,13 +96,23 @@ class GraphExecutor {
  public:
   /// Streams are created lazily: any StreamId in [0, max_streams) is valid.
   explicit GraphExecutor(std::size_t max_streams = 64);
+  // Scheduled events call back into this object by address.
+  GraphExecutor(const GraphExecutor&) = delete;
+  GraphExecutor& operator=(const GraphExecutor&) = delete;
 
   StreamId add_stream();  // returns a fresh stream id
   std::size_t stream_count() const { return streams_.size(); }
 
+  /// Sizes the graph for `ops` ops and `deps` dependencies up front, so a
+  /// large build never reallocates. Optional.
+  void reserve(std::size_t ops, std::size_t deps);
+
+  /// Adds an op. Its stream must exist, and the graph must not have run;
+  /// otherwise this aborts with a message (in every build mode).
   OpId add_op(OpSpec spec);
 
-  /// Declares that `after` cannot start before `before` has finished.
+  /// Declares that `after` cannot start before `before` has finished. Both
+  /// must be existing ops and distinct; otherwise this aborts with a message.
   void add_dep(OpId before, OpId after);
 
   /// Runs the whole graph to completion on `engine`. May be called once.
@@ -77,11 +121,14 @@ class GraphExecutor {
 
   const std::vector<OpRecord>& records() const { return records_; }
   const OpRecord& record(OpId id) const { return records_[static_cast<std::size_t>(id)]; }
+  /// Moves the records out (the graph keeps none): for callers that hand
+  /// the spans on after run() instead of copying them.
+  std::vector<OpRecord> take_records() { return std::move(records_); }
 
   /// Total busy time per stream (for utilization analysis).
   TimeNs stream_busy(StreamId s) const { return streams_[static_cast<std::size_t>(s)].busy; }
 
-  std::size_t op_count() const { return specs_.size(); }
+  std::size_t op_count() const { return nodes_.size(); }
 
  private:
   struct ReadyEntry {
@@ -97,16 +144,35 @@ class GraphExecutor {
     TimeNs busy = 0;
     std::priority_queue<ReadyEntry> ready;
   };
+  /// What the event loop reads per op; the strings stay in records_.
+  struct Node {
+    TimeNs duration = 0;
+    int priority = 0;
+    StreamId stream = 0;
+    int indegree = 0;
+  };
+  /// The optional callables of an OpSpec, kept off the hot path.
+  struct Hooks {
+    std::function<TimeNs(TimeNs start)> duration_fn;
+    std::function<void(TimeNs start, TimeNs end)> on_finish;
+  };
 
-  void on_ready(Engine& engine, OpId id);
-  void try_issue(Engine& engine, StreamId s);
-  void on_op_finished(Engine& engine, OpId id);
+  void on_ready(OpId id);
+  void try_issue(StreamId s);
+  void on_op_finished(OpId id);
 
-  std::vector<OpSpec> specs_;
+  std::vector<Node> nodes_;
   std::vector<OpRecord> records_;
-  std::vector<std::vector<OpId>> dependents_;
-  std::vector<int> indegree_;
+  /// Indexed by OpId; empty until an op with a hook is added.
+  std::vector<Hooks> hooks_;
+  /// (before, after) in add_dep order until run() builds the adjacency.
+  std::vector<std::pair<OpId, OpId>> edges_;
+  /// Dependents of op i: dependents_[first_dependent_[i] ..
+  /// first_dependent_[i + 1]), in add_dep order.
+  std::vector<std::size_t> first_dependent_;
+  std::vector<OpId> dependents_;
   std::vector<StreamState> streams_;
+  Engine* engine_ = nullptr;  // set by run()
   TimeNs start_time_ = 0;
   TimeNs finish_time_ = 0;
   std::size_t remaining_ = 0;

@@ -1,25 +1,15 @@
 #include "telemetry/aggregator.h"
 
+#include "core/fatal.h"
 #include "prof/profiler.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 namespace ms::telemetry {
 
 namespace {
 
 int ceil_div(int a, int b) { return (a + b - 1) / b; }
-
-// A bad config or rank is a wiring bug with no sane fallback (a bad rank
-// would index past the rank tier), so it aborts with a message in every
-// build mode, like a kind clash in SketchSnapshot, instead of through an
-// assert that NDEBUG compiles out.
-[[noreturn]] void die(const char* what, long long value) {
-  std::fprintf(stderr, "AggregationTree: %s (got %lld)\n", what, value);
-  std::abort();
-}
 
 // The levels bottom-up: the on-host hop rides NVLink / shared memory, the
 // two upper hops the RDMA fabric.
@@ -37,13 +27,16 @@ constexpr Hop kHops[] = {
 
 AggregationTree::AggregationTree(const AggTreeConfig& cfg)
     : cfg_(cfg), model_(cfg.cluster, cfg.network_efficiency) {
-  if (cfg_.ranks <= 0) die("ranks must be positive", cfg_.ranks);
-  if (cfg_.ranks_per_host <= 0) {
-    die("ranks_per_host must be positive", cfg_.ranks_per_host);
-  }
-  if (cfg_.hosts_per_pod <= 0) {
-    die("hosts_per_pod must be positive", cfg_.hosts_per_pod);
-  }
+  // A bad config or rank is a wiring bug with no sane fallback (a bad rank
+  // would index past the rank tier), so it aborts in every build mode.
+  MS_CHECK(cfg_.ranks > 0, "AggregationTree: ranks must be positive (got %d)",
+           cfg_.ranks);
+  MS_CHECK(cfg_.ranks_per_host > 0,
+           "AggregationTree: ranks_per_host must be positive (got %d)",
+           cfg_.ranks_per_host);
+  MS_CHECK(cfg_.hosts_per_pod > 0,
+           "AggregationTree: hosts_per_pod must be positive (got %d)",
+           cfg_.hosts_per_pod);
   const int hosts = ceil_div(cfg_.ranks, cfg_.ranks_per_host);
   const int pods = ceil_div(hosts, cfg_.hosts_per_pod);
   const auto tier = [](int nodes, int fan_in) {
@@ -56,7 +49,8 @@ AggregationTree::AggregationTree(const AggTreeConfig& cfg)
 }
 
 void AggregationTree::submit(int rank, SketchSnapshot snapshot) {
-  if (rank < 0 || rank >= cfg_.ranks) die("submit rank out of range", rank);
+  MS_CHECK(rank >= 0 && rank < cfg_.ranks,
+           "AggregationTree: submit rank out of range (got %d)", rank);
   Tier& ranks = tiers_.front();
   ranks.sketches[static_cast<std::size_t>(rank)] = std::move(snapshot);
   ranks.dirty[static_cast<std::size_t>(rank)] = 1;

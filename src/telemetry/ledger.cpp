@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "check/digest.h"
+#include "core/fatal.h"
 #include "core/json.h"
 #include "core/stats.h"
 #include "core/table.h"
@@ -34,10 +35,8 @@ RunLedger::RunLedger(const LedgerConfig& cfg) : cfg_(cfg) {
   // finalize() divides by both, so a non-positive one aborts with a
   // message in every build mode (an assert would vanish under NDEBUG).
   const auto check = [](TimeNs v, const char* what) {
-    if (v > 0) return;
-    std::fprintf(stderr, "RunLedger: %s must be positive (got %lld)\n", what,
-                 static_cast<long long>(v));
-    std::abort();
+    MS_CHECK(v > 0, "RunLedger: %s must be positive (got %lld)", what,
+             static_cast<long long>(v));
   };
   check(cfg_.duration, "duration");
   check(cfg_.interval, "interval");

@@ -1,10 +1,9 @@
 #include "telemetry/metrics.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <type_traits>
 
-#include "core/log.h"
+#include "core/fatal.h"
 
 namespace ms::telemetry {
 
@@ -63,8 +62,7 @@ T& MetricsRegistry::cell(const std::string& name, const Labels& labels) {
   auto it = index_.find(key);
   if (it != index_.end()) {
     if (T* typed = std::get_if<T>(&it->second->value)) return *typed;
-    MS_LOG_ERROR << "metric '" << name << "' re-registered as a different kind";
-    std::abort();
+    fatal("metric '%s' re-registered as a different kind", name.c_str());
   }
   Cell& c = cells_.emplace_back(name, std::move(canon), std::in_place_type<T>);
   index_.emplace(key, &c);

@@ -1,11 +1,10 @@
 #include "telemetry/sketch.h"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <type_traits>
 
 #include "check/digest.h"
+#include "core/fatal.h"
 
 namespace ms::telemetry {
 
@@ -28,10 +27,9 @@ struct Overloaded : F... {
 // message in every build mode.
 [[noreturn]] void kind_clash(const std::string& key, std::size_t is,
                              std::size_t wanted) {
-  std::fprintf(stderr, "SketchSnapshot: series '%s' is a %s, not a %s\n",
-               key.c_str(), kind_name(static_cast<MetricKind>(is)),
-               kind_name(static_cast<MetricKind>(wanted)));
-  std::abort();
+  fatal("SketchSnapshot: series '%s' is a %s, not a %s", key.c_str(),
+        kind_name(static_cast<MetricKind>(is)),
+        kind_name(static_cast<MetricKind>(wanted)));
 }
 
 /// into += from for one series; both must hold the same kind.
@@ -215,11 +213,22 @@ std::uint64_t SketchSnapshot::digest() const {
         d.fold(gauge.count);
       },
       [&](const SparseHist& hist) {
+        // The (lo, count) pairs of HdrHistogram::nonzero_buckets(), read
+        // from the sparse entries: underflow, sized buckets, overflow.
+        const HdrHistogram::Header& h = hist.header();
         d.fold(hist.total());
         d.fold_bits(hist.sum());
-        for (const auto& b : hist.dense().nonzero_buckets()) {
-          d.fold_bits(b.lo);
-          d.fold(b.count);
+        if (h.underflow > 0) {
+          d.fold_bits(0.0);
+          d.fold(h.underflow);
+        }
+        for (const SparseHist::Entry& e : hist.entries()) {
+          d.fold_bits(HdrHistogram::bucket_lo(e.index));
+          d.fold(e.count);
+        }
+        if (h.overflow > 0) {
+          d.fold_bits(HdrHistogram::kRangeHi);
+          d.fold(h.overflow);
         }
       }};
   for (const auto& [key, value] : series()) {

@@ -62,6 +62,50 @@ TEST(SpanAttrs, ParsesKeyValueTokens) {
   EXPECT_EQ(a.text("missing", "x"), "x");
 }
 
+// The engine's typed attributes render to exactly the grammar SpanAttrs
+// parses, one layout per op shape.
+TEST(SpanAttrs, ParsesWhatTheEngineRenders) {
+  using Shape = sim::OpAttrs::Shape;
+  using Coll = sim::OpAttrs::Coll;
+  auto render = [](const sim::OpAttrs& a) {
+    std::string out;
+    engine::append_attrs(out, a);
+    return out;
+  };
+  const std::string compute = render({.shape = Shape::kCompute, .bwd = true,
+                                      .head = true, .stage = 3, .chunk = 1,
+                                      .mb = 12});
+  EXPECT_EQ(compute, "s=3 c=1 mb=12 p=b head=1");
+  const diag::SpanAttrs c(compute);
+  EXPECT_EQ(c.num("s"), 3);
+  EXPECT_EQ(c.num("c"), 1);
+  EXPECT_EQ(c.num("mb"), 12);
+  EXPECT_EQ(c.text("p"), "b");
+
+  const std::string transfer =
+      render({.shape = Shape::kTransfer, .chunk = 2, .mb = 5, .from = 0,
+              .to = 1, .prod_chunk = 2, .bytes = 4096});
+  EXPECT_EQ(transfer, "p=f mb=5 from=0 to=1 c=2 pc=2 B=4096");
+  const diag::SpanAttrs t(transfer);
+  EXPECT_EQ(t.num("from"), 0);
+  EXPECT_EQ(t.num("to"), 1);
+  EXPECT_EQ(t.num("B"), 4096);
+
+  EXPECT_EQ(render({.shape = Shape::kCollective, .coll = Coll::kAllGather,
+                    .stage = 2, .chunk = 0, .n = 4, .calls = 2,
+                    .bytes = 1024}),
+            "s=2 c=0 grp=dp n=4 op=allgather B=1024 calls=2");
+  EXPECT_EQ(render({.shape = Shape::kCollective, .coll = Coll::kAllReduce,
+                    .stage = 2, .n = 4, .bytes = 1024}),
+            "s=2 grp=dp n=4 op=allreduce B=1024");
+  EXPECT_EQ(render({.shape = Shape::kStage, .stage = 7}), "s=7");
+  EXPECT_EQ(render({}), "");
+
+  std::string appended = "x=1";
+  engine::append_attrs(appended, {.shape = Shape::kStage, .stage = 0});
+  EXPECT_EQ(appended, "x=1 s=0");
+}
+
 // -------------------------------------------------------------- DepGraph
 
 TEST(DepGraph, ReconstructsCrossRankEdgesFromEngineTrace) {

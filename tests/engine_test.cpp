@@ -311,5 +311,32 @@ TEST(Perturb, DifferentClusterSamplesGiveDifferentMfu) {
   EXPECT_GT(hi - lo, 0.001);  // visible spread across trials
 }
 
+// ------------------------------------------------- release-safe checks
+// Each of these would read past a table in Release, so it aborts with a
+// message in every build mode. The CLIs call validate() first, so users
+// see its error text instead.
+
+TEST(EngineDeathTest, SimulateRejectsInvalidConfig) {
+  auto cfg = base_config();
+  cfg.global_batch = 255;  // not divisible by dp=4
+  EXPECT_DEATH(simulate_iteration(cfg),
+               "invalid JobConfig: global batch must divide");
+}
+
+TEST(EngineDeathTest, FoldRejectsShortSpeedVector) {
+  const auto cfg = megascale_config();
+  const auto base = simulate_iteration(cfg);
+  const std::vector<double> speeds(static_cast<std::size_t>(cfg.gpus() / 8) - 1,
+                                   1.0);
+  EXPECT_DEATH(fold_stragglers(base, cfg, speeds), "machine_speed has");
+}
+
+TEST(EngineDeathTest, TrainingDaysRejectsNonPositiveRate) {
+  EXPECT_DEATH(training_days(300e9, 0.0),
+               "tokens_per_second must be positive");
+  EXPECT_DEATH(training_days(300e9, -1.0),
+               "tokens_per_second must be positive");
+}
+
 }  // namespace
 }  // namespace ms::engine

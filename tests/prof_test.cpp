@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -150,6 +151,30 @@ TEST_F(ProfTest, ScopeMacroRecordsWhenCompiledIn) {
   }
   EXPECT_TRUE(found);
   EXPECT_EQ(alloc_count(), 2u);
+}
+
+// sim::Engine counts each growth of its callback slab and its event heap,
+// not each event: a chain that keeps one event pending grows each once.
+TEST_F(ProfTest, EngineCountsSlabAndHeapGrowthNotEvents) {
+  set_enabled(true);
+  sim::Engine chain;
+  int left = 1000;
+  std::function<void()> tick = [&] {
+    if (--left > 0) chain.after(1, tick);
+  };
+  chain.after(1, tick);
+  chain.run();
+  EXPECT_EQ(chain.executed(), 1000u);
+  EXPECT_EQ(alloc_count(), 2u);
+
+  reset();
+  set_enabled(true);
+  sim::Engine fanout;
+  for (int i = 0; i < 1000; ++i) fanout.after(i, [] {});
+  fanout.run();
+  // Geometric growth: a few dozen reallocations for 1000 live events.
+  EXPECT_GT(alloc_count(), 2u);
+  EXPECT_LT(alloc_count(), 64u);
 }
 #else
 TEST_F(ProfTest, ScopeMacroCompilesToNothingWhenOff) {
@@ -446,6 +471,17 @@ TEST_F(ProfTest, RunWorkloadByName) {
             names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "cc_storm"), names.end());
   EXPECT_TRUE(run_workload("cc_storm", result));
+  EXPECT_NE(std::find(names.begin(), names.end(), "fig9_step"), names.end());
+  reset();
+  set_enabled(true);
+  EXPECT_TRUE(run_workload("fig9_step", result));
+  set_enabled(false);
+  // The step's graph build is its own scope, inside the step's.
+  bool saw_build = false;
+  for (const auto& s : snapshot()) {
+    if (s.name == "engine.build_graph") saw_build = s.count == 1;
+  }
+  EXPECT_TRUE(saw_build);
 }
 
 // ------------------------------------------------------------ msprof CLI

@@ -412,5 +412,64 @@ TEST(Graph, TwoStagePipelineOverlap) {
   EXPECT_EQ(g.run(e), (kMicro + 1) * f);
 }
 
+// ------------------------------------------------- release-safe checks
+// A bad op or edge would index past the executor's tables, so each aborts
+// with a message in every build mode (not an NDEBUG-stripped assert).
+
+TEST(GraphDeathTest, AddOpRejectsStreamOutOfRange) {
+  GraphExecutor g(2);
+  EXPECT_DEATH(g.add_op({.name = "a", .stream = 2}), "stream out of range");
+  EXPECT_DEATH(g.add_op({.name = "a", .stream = -1}), "stream out of range");
+}
+
+TEST(GraphDeathTest, AddOpAfterRunAborts) {
+  Engine e;
+  GraphExecutor g(1);
+  g.add_op({.name = "a", .stream = 0, .duration = 1});
+  g.run(e);
+  EXPECT_DEATH(g.add_op({.name = "b", .stream = 0}), "add_op after run");
+}
+
+TEST(GraphDeathTest, AddDepRejectsIdsOutOfRange) {
+  GraphExecutor g(1);
+  const OpId a = g.add_op({.name = "a", .stream = 0});
+  EXPECT_DEATH(g.add_dep(a, 1), "op id out of range");
+  EXPECT_DEATH(g.add_dep(-1, a), "op id out of range");
+}
+
+TEST(GraphDeathTest, AddDepRejectsSelfEdge) {
+  GraphExecutor g(1);
+  const OpId a = g.add_op({.name = "a", .stream = 0});
+  EXPECT_DEATH(g.add_dep(a, a), "self-edge");
+}
+
+TEST(GraphDeathTest, NegativeDurationAbortsAtIssue) {
+  Engine e;
+  GraphExecutor g(1);
+  g.add_op({.name = "a",
+            .stream = 0,
+            .duration_fn = [](TimeNs) { return TimeNs{-5}; }});
+  EXPECT_DEATH(g.run(e), "negative op duration");
+}
+
+// ------------------------------------------------------- slab handles
+
+TEST(Engine, StaleHandleNeverCancelsARecycledSlot) {
+  Engine e;
+  bool fired = false;
+  const EventId first = e.at(seconds(1.0), [] {});
+  ASSERT_TRUE(e.cancel(first));
+  // The freed slot is reused by the next event; the old handle must not
+  // reach it.
+  const EventId second = e.at(seconds(2.0), [&] { fired = true; });
+  EXPECT_NE(first, second);
+  EXPECT_FALSE(e.cancel(first));
+  EXPECT_FALSE(e.cancel(0));
+  e.run();
+  EXPECT_TRUE(fired);
+  EXPECT_FALSE(e.cancel(second));  // cancel after fire
+  EXPECT_EQ(e.scheduled(), 2u);
+}
+
 }  // namespace
 }  // namespace ms::sim

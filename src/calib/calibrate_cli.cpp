@@ -1,11 +1,11 @@
 #include "calib/calibrate_cli.h"
 
-#include <cstdlib>
 #include <ostream>
 
 #include "calib/fit.h"
 #include "calib/ingest.h"
 #include "calib/replay.h"
+#include "core/cli.h"
 #include "diag/artifact.h"
 #include "telemetry/exporters.h"
 #include "telemetry/trace.h"
@@ -31,60 +31,6 @@ struct Options {
   double mem_eff = 0.95;
   double net_eff = 0.85;
 };
-
-bool parse_args(const std::vector<std::string>& args, Options& opt,
-                std::ostream& err) {
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    auto value = [&]() -> const char* {
-      return (i + 1 < args.size()) ? args[++i].c_str() : nullptr;
-    };
-    auto num_value = [&](double& slot) {
-      const char* v = value();
-      if (v == nullptr) return false;
-      slot = std::atof(v);
-      return true;
-    };
-    if (arg == "--emit") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.emit_path = v;
-    } else if (arg == "--preset") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.preset = v;
-    } else if (arg == "--fitted-out") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      opt.fitted_out = v;
-    } else if (arg == "--json") {
-      opt.as_json = true;
-    } else if (arg == "--no-replay") {
-      opt.no_replay = true;
-    } else if (arg == "--tolerance") {
-      if (!num_value(opt.tolerance)) return false;
-    } else if (arg == "--gemm-eff") {
-      if (!num_value(opt.gemm_eff)) return false;
-    } else if (arg == "--attn-eff") {
-      if (!num_value(opt.attn_eff)) return false;
-    } else if (arg == "--mem-eff") {
-      if (!num_value(opt.mem_eff)) return false;
-    } else if (arg == "--net-eff") {
-      if (!num_value(opt.net_eff)) return false;
-    } else if (opt.trace_path.empty() && !arg.empty() && arg[0] != '-') {
-      opt.trace_path = arg;
-    } else {
-      err << "msdiag calibrate: unknown argument \"" << arg << "\"\n";
-      return false;
-    }
-  }
-  if (opt.preset != "fixture" && opt.preset != "demo") {
-    err << "msdiag calibrate: unknown preset \"" << opt.preset
-        << "\" (expected fixture|demo)\n";
-    return false;
-  }
-  return true;
-}
 
 int emit_main(const Options& opt, std::ostream& out, std::ostream& err) {
   engine::JobConfig cfg =
@@ -156,8 +102,22 @@ std::string calibrate_usage() {
 int calibrate_main(const std::vector<std::string>& args, std::ostream& out,
                    std::ostream& err) {
   Options opt;
-  if (!parse_args(args, opt, err)) {
-    err << calibrate_usage();
+  cli::Parser parser("msdiag calibrate", calibrate_usage());
+  parser.positional("<trace>", opt.trace_path, false)
+      .flag("--emit", opt.emit_path)
+      .flag("--preset", opt.preset)
+      .flag("--fitted-out", opt.fitted_out)
+      .toggle("--json", opt.as_json)
+      .toggle("--no-replay", opt.no_replay)
+      .flag("--tolerance", opt.tolerance)
+      .flag("--gemm-eff", opt.gemm_eff)
+      .flag("--attn-eff", opt.attn_eff)
+      .flag("--mem-eff", opt.mem_eff)
+      .flag("--net-eff", opt.net_eff);
+  if (!parser.parse(args, err)) return 1;
+  if (opt.preset != "fixture" && opt.preset != "demo") {
+    parser.error(err, "unknown preset \"" + opt.preset +
+                          "\" (expected fixture|demo)");
     return 1;
   }
   if (!opt.emit_path.empty()) return emit_main(opt, out, err);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <map>
@@ -38,7 +39,9 @@ class IdMapper {
         --end;
       }
       if (end < s.size() && s.size() - end <= 9) {
-        return std::atoi(s.c_str() + end);
+        int id = 0;
+        std::from_chars(s.data() + end, s.data() + s.size(), id);
+        return id;
       }
       auto it = labels_.find(s);
       if (it != labels_.end()) return it->second;

@@ -14,9 +14,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iostream>
 #include <string>
 
 #include "chaos/campaign.h"
+#include "core/cli.h"
 #include "diag/artifact.h"
 #include "diag/flight_recorder.h"
 #include "telemetry/exporters.h"
@@ -26,16 +28,6 @@ namespace {
 
 using namespace ms;
 using namespace ms::chaos;
-
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s --scenario <name> [--seeds N | --seed S]\n"
-               "          [--base-seed B] [--canary] [--json]\n"
-               "          [--artifact-dir DIR] [--flight-dir DIR] [--metrics]\n"
-               "       %s --list\n",
-               argv0, argv0);
-  return 2;
-}
 
 void print_record(const OutcomeRecord& r) {
   std::printf(
@@ -55,59 +47,43 @@ int main(int argc, char** argv) {
   std::string flight_dir;
   std::uint64_t base_seed = 0xC405;  // "chaos"
   std::uint64_t single_seed = 0;
-  bool have_single_seed = false;
   int n_seeds = 8;
   bool canary = false;
   bool as_json = false;
   bool dump_metrics = false;
+  bool list = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      return (i + 1 < argc) ? argv[++i] : nullptr;
-    };
-    if (arg == "--list") {
-      for (const auto& s : scenarios()) {
-        std::printf("%-22s %s\n", s.name, s.summary);
-      }
-      return 0;
-    } else if (arg == "--scenario") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      scenario_name = v;
-    } else if (arg == "--seeds") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      n_seeds = std::atoi(v);
-    } else if (arg == "--seed") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      single_seed = std::strtoull(v, nullptr, 0);
-      have_single_seed = true;
-    } else if (arg == "--base-seed") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      base_seed = std::strtoull(v, nullptr, 0);
-    } else if (arg == "--artifact-dir") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      artifact_dir = v;
-    } else if (arg == "--flight-dir") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      flight_dir = v;
-    } else if (arg == "--canary") {
-      canary = true;
-    } else if (arg == "--json") {
-      as_json = true;
-    } else if (arg == "--metrics") {
-      dump_metrics = true;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      return usage(argv[0]);
+  const std::string argv0 = argv[0];
+  cli::Parser parser(
+      "chaos_campaign",
+      "usage: " + argv0 + " --scenario <name> [--seeds N | --seed S]\n"
+      "          [--base-seed B] [--canary] [--json]\n"
+      "          [--artifact-dir DIR] [--flight-dir DIR] [--metrics]\n"
+      "       " + argv0 + " --list\n");
+  parser.toggle("--list", list)
+      .flag("--scenario", scenario_name)
+      .flag("--seeds", n_seeds)
+      .seed("--seed", single_seed)
+      .seed("--base-seed", base_seed)
+      .flag("--artifact-dir", artifact_dir)
+      .flag("--flight-dir", flight_dir)
+      .toggle("--canary", canary)
+      .toggle("--json", as_json)
+      .toggle("--metrics", dump_metrics);
+  if (!parser.parse({argv + 1, argv + argc}, std::cerr)) return 2;
+  if (list) {
+    for (const auto& s : scenarios()) {
+      std::printf("%-22s %s\n", s.name, s.summary);
     }
+    return 0;
   }
-  if (scenario_name.empty()) return usage(argv[0]);
+  if (scenario_name.empty() || n_seeds < 1) {
+    // A zero-seed campaign would pass without judging anything.
+    parser.error(std::cerr, scenario_name.empty()
+                                ? "--scenario is required"
+                                : "--seeds must be at least 1");
+    return 2;
+  }
   const Scenario* scenario = find_scenario(scenario_name);
   if (scenario == nullptr) {
     std::fprintf(stderr, "unknown scenario '%s' (try --list)\n",
@@ -149,7 +125,7 @@ int main(int argc, char** argv) {
   };
 
   // --seed S: replay exactly one seed (the repro path).
-  if (have_single_seed) {
+  if (parser.seen("--seed")) {
     const auto schedule = generate_schedule(cfg, *scenario, single_seed);
     const auto record = run_schedule(cfg, scenario->name, single_seed, schedule);
     const auto verdict = evaluate_outcome(cfg, record);

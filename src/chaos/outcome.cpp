@@ -4,21 +4,14 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <type_traits>
 
 #include "check/digest.h"
+#include "core/cli.h"
 
 namespace ms::chaos {
 
 namespace {
-
-void fold_double(check::Digest& digest, double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof bits == sizeof v);
-  std::memcpy(&bits, &v, sizeof bits);
-  digest.fold(bits);
-}
 
 void fold_latency(check::Digest& digest, const LatencyStats& stats) {
   digest.fold(static_cast<std::int64_t>(stats.count));
@@ -34,8 +27,8 @@ std::uint64_t compute_record_digest(const OutcomeRecord& record) {
   check::Digest digest;
   digest.fold(std::string_view(record.scenario));
   digest.fold(record.seed);
-  fold_double(digest, record.effective_time_ratio);
-  fold_double(digest, record.slowdown_factor);
+  digest.fold_bits(record.effective_time_ratio);
+  digest.fold_bits(record.slowdown_factor);
   digest.fold(static_cast<std::int64_t>(record.faults_injected));
   digest.fold(static_cast<std::int64_t>(record.restarts));
   digest.fold(static_cast<std::int64_t>(record.undetected_faults));
@@ -45,8 +38,8 @@ std::uint64_t compute_record_digest(const OutcomeRecord& record) {
   digest.fold(record.ckpt_stall_total);
   digest.fold(record.flap_stall_total);
   digest.fold(static_cast<std::int64_t>(record.nccl_errors));
-  fold_double(digest, record.pfc_pause_fraction);
-  fold_double(digest, record.ecmp_conflict_fraction);
+  digest.fold_bits(record.pfc_pause_fraction);
+  digest.fold_bits(record.ecmp_conflict_fraction);
   digest.fold(static_cast<std::int64_t>(record.spare_pool_exhausted));
   digest.fold(static_cast<std::int64_t>(record.fabric_localizations));
   digest.fold(static_cast<std::int64_t>(record.fabric_top1_correct));
@@ -216,25 +209,16 @@ bool scan_token(const std::string& text, const std::string& key,
   return true;
 }
 
-bool scan_d(const std::string& text, const std::string& key, double& v) {
+/// Reads one numeric field; the whole token must convert.
+template <class T>
+bool scan(const std::string& text, const std::string& key, T& v) {
   std::string token;
   if (!scan_token(text, key, token)) return false;
-  v = std::strtod(token.c_str(), nullptr);
-  return true;
-}
-
-bool scan_i(const std::string& text, const std::string& key, std::int64_t& v) {
-  std::string token;
-  if (!scan_token(text, key, token)) return false;
-  v = std::strtoll(token.c_str(), nullptr, 10);
-  return true;
-}
-
-bool scan_u(const std::string& text, const std::string& key, std::uint64_t& v) {
-  std::string token;
-  if (!scan_token(text, key, token)) return false;
-  v = std::strtoull(token.c_str(), nullptr, 0);  // handles 0x... and decimal
-  return true;
+  if constexpr (std::is_same_v<T, std::uint64_t>) {
+    return cli::parse_seed(token, v);  // digests: "0x..." strings
+  } else {
+    return cli::parse_number(token, v);
+  }
 }
 
 bool scan_latency(const std::string& text, const std::string& key,
@@ -246,10 +230,10 @@ bool scan_latency(const std::string& text, const std::string& key,
   if (end == std::string::npos) return false;
   const std::string body = text.substr(pos, end - pos + 1);
   std::int64_t count = 0;
-  if (!scan_i(body, "count", count)) return false;
+  if (!scan(body, "count", count)) return false;
   s.count = static_cast<int>(count);
-  return scan_i(body, "mean_ns", s.mean) && scan_i(body, "p50_ns", s.p50) &&
-         scan_i(body, "p95_ns", s.p95) && scan_i(body, "max_ns", s.max);
+  return scan(body, "mean_ns", s.mean) && scan(body, "p50_ns", s.p50) &&
+         scan(body, "p95_ns", s.p95) && scan(body, "max_ns", s.max);
 }
 
 }  // namespace
@@ -288,29 +272,29 @@ bool from_json(const std::string& text, OutcomeRecord& out) {
   std::int64_t seed = 0, faults = 0, restarts = 0, undetected = 0, nccl = 0,
                spares = 0, fab_loc = 0, fab_top1 = 0, fab_alarms = 0;
   if (!scan_token(text, "scenario", r.scenario)) return false;
-  if (!scan_i(text, "seed", seed)) return false;
+  if (!scan(text, "seed", seed)) return false;
   r.seed = static_cast<std::uint64_t>(seed);
-  if (!scan_d(text, "effective_time_ratio", r.effective_time_ratio) ||
-      !scan_d(text, "slowdown_factor", r.slowdown_factor) ||
-      !scan_i(text, "faults_injected", faults) ||
-      !scan_i(text, "restarts", restarts) ||
-      !scan_i(text, "undetected_faults", undetected) ||
-      !scan_i(text, "steps_lost", r.steps_lost) ||
+  if (!scan(text, "effective_time_ratio", r.effective_time_ratio) ||
+      !scan(text, "slowdown_factor", r.slowdown_factor) ||
+      !scan(text, "faults_injected", faults) ||
+      !scan(text, "restarts", restarts) ||
+      !scan(text, "undetected_faults", undetected) ||
+      !scan(text, "steps_lost", r.steps_lost) ||
       !scan_latency(text, "detect_latency", r.detect_latency) ||
       !scan_latency(text, "recovery_latency", r.recovery_latency) ||
-      !scan_i(text, "ckpt_stall_total_ns", r.ckpt_stall_total) ||
-      !scan_i(text, "flap_stall_total_ns", r.flap_stall_total) ||
-      !scan_i(text, "nccl_errors", nccl) ||
-      !scan_d(text, "pfc_pause_fraction", r.pfc_pause_fraction) ||
-      !scan_d(text, "ecmp_conflict_fraction", r.ecmp_conflict_fraction) ||
-      !scan_i(text, "spare_pool_exhausted", spares) ||
-      !scan_i(text, "fabric_localizations", fab_loc) ||
-      !scan_i(text, "fabric_top1_correct", fab_top1) ||
-      !scan_i(text, "fabric_alarms", fab_alarms) ||
-      !scan_i(text, "fabric_detect_latency_ns", r.fabric_detect_latency) ||
-      !scan_u(text, "schedule_digest", r.schedule_digest) ||
-      !scan_u(text, "engine_digest", r.engine_digest) ||
-      !scan_u(text, "record_digest", r.record_digest)) {
+      !scan(text, "ckpt_stall_total_ns", r.ckpt_stall_total) ||
+      !scan(text, "flap_stall_total_ns", r.flap_stall_total) ||
+      !scan(text, "nccl_errors", nccl) ||
+      !scan(text, "pfc_pause_fraction", r.pfc_pause_fraction) ||
+      !scan(text, "ecmp_conflict_fraction", r.ecmp_conflict_fraction) ||
+      !scan(text, "spare_pool_exhausted", spares) ||
+      !scan(text, "fabric_localizations", fab_loc) ||
+      !scan(text, "fabric_top1_correct", fab_top1) ||
+      !scan(text, "fabric_alarms", fab_alarms) ||
+      !scan(text, "fabric_detect_latency_ns", r.fabric_detect_latency) ||
+      !scan(text, "schedule_digest", r.schedule_digest) ||
+      !scan(text, "engine_digest", r.engine_digest) ||
+      !scan(text, "record_digest", r.record_digest)) {
     return false;
   }
   r.faults_injected = static_cast<int>(faults);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 
 #include "check/digest.h"
 
@@ -72,10 +71,7 @@ std::uint64_t schedule_digest(const FaultSchedule& schedule) {
     digest.fold(static_cast<std::int64_t>(fault.node));
     digest.fold(static_cast<std::uint64_t>(fault.fail_type));
     digest.fold(fault.duration);
-    std::uint64_t bits = 0;
-    static_assert(sizeof bits == sizeof fault.magnitude);
-    std::memcpy(&bits, &fault.magnitude, sizeof bits);
-    digest.fold(bits);
+    digest.fold_bits(fault.magnitude);
   }
   return digest.value();
 }

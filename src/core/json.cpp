@@ -170,9 +170,11 @@ class Parser {
       eat_digits();
     }
     if (!digits) return false;
+    const std::string token = s_.substr(start, pos_ - start);
+    char* end = nullptr;
     out.kind = Value::Kind::kNumber;
-    out.number = std::strtod(s_.substr(start, pos_ - start).c_str(), nullptr);
-    return true;
+    out.number = std::strtod(token.c_str(), &end);
+    return end == token.c_str() + token.size();
   }
   bool value(Value& out) {
     skip_ws();

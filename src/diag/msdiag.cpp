@@ -1,9 +1,9 @@
 #include "diag/msdiag.h"
 
-#include <cstdlib>
 #include <map>
 #include <ostream>
 
+#include "core/cli.h"
 #include "core/table.h"
 #include "core/time.h"
 #include "diag/artifact.h"
@@ -38,23 +38,11 @@ int cmd_analyze(const std::vector<std::string>& args, std::ostream& out,
   std::string path;
   bool as_json = false;
   std::size_t top_k = 5;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--json") {
-      as_json = true;
-    } else if (args[i] == "--top" && i + 1 < args.size()) {
-      top_k = static_cast<std::size_t>(std::strtoul(args[++i].c_str(),
-                                                    nullptr, 10));
-    } else if (path.empty()) {
-      path = args[i];
-    } else {
-      err << msdiag_usage();
-      return 1;
-    }
-  }
-  if (path.empty()) {
-    err << msdiag_usage();
-    return 1;
-  }
+  cli::Parser parser("msdiag analyze", msdiag_usage());
+  parser.positional("<trace.jsonl>", path)
+      .toggle("--json", as_json)
+      .flag("--top", top_k);
+  if (!parser.parse(args, err)) return 1;
   std::vector<TraceSpan> spans;
   if (!load_spans(path, spans, err)) return 1;
   const StepDiagnosis d = analyze_spans(std::move(spans));
@@ -79,20 +67,9 @@ int cmd_diff(const std::vector<std::string>& args, std::ostream& out,
 int cmd_flight(const std::vector<std::string>& args, std::ostream& out,
                std::ostream& err) {
   std::string path, perfetto;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--perfetto" && i + 1 < args.size()) {
-      perfetto = args[++i];
-    } else if (path.empty()) {
-      path = args[i];
-    } else {
-      err << msdiag_usage();
-      return 1;
-    }
-  }
-  if (path.empty()) {
-    err << msdiag_usage();
-    return 1;
-  }
+  cli::Parser parser("msdiag flight", msdiag_usage());
+  parser.positional("<dump.jsonl>", path).flag("--perfetto", perfetto);
+  if (!parser.parse(args, err)) return 1;
   std::string text;
   if (!read_text_file(path, text)) {
     err << "msdiag: cannot read " << path << '\n';

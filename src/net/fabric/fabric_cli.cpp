@@ -2,14 +2,15 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
+#include <limits>
 #include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "core/cli.h"
 #include "core/rng.h"
+#include "diag/artifact.h"
 #include "diag/timeline.h"
 #include "net/ccsim.h"
 #include "net/ecmp.h"
@@ -27,7 +28,7 @@ struct FabricCliOptions {
   double intensity = 0.5;
   std::uint64_t seed = 42;
   std::string out_path;
-  TimeNs cadence = milliseconds(1.0);
+  double cadence_us = 1000.0;
   int top = 8;
 };
 
@@ -143,12 +144,10 @@ int cmd_timeline(const FabricCliOptions& opt, const FabricObservatory& obs,
                  std::ostream& err) {
   const auto trace = build_timeline(obs, report, opt.top);
   if (!opt.out_path.empty()) {
-    std::ofstream file(opt.out_path);
-    if (!file) {
+    if (!diag::write_text_file(opt.out_path, trace.chrome_trace_json())) {
       err << "msdiag fabric: cannot write " << opt.out_path << "\n";
       return 1;
     }
-    file << trace.chrome_trace_json();
     out << "wrote " << opt.out_path << " (" << trace.size()
         << " spans, one lane per hot link)\n";
     return 0;
@@ -203,12 +202,10 @@ int cmd_export(const FabricCliOptions& opt, const FabricObservatory& obs,
     out << artifact;
     return 0;
   }
-  std::ofstream file(opt.out_path);
-  if (!file) {
+  if (!diag::write_text_file(opt.out_path, artifact)) {
     err << "msdiag fabric: cannot write " << opt.out_path << "\n";
     return 1;
   }
-  file << artifact;
   out << "wrote " << opt.out_path << "\n";
   return 0;
 }
@@ -228,54 +225,34 @@ std::string fabric_usage() {
 int fabric_main(const std::vector<std::string>& args, std::ostream& out,
                 std::ostream& err) {
   FabricCliOptions opt;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    auto value = [&]() -> const char* {
-      return (i + 1 < args.size()) ? args[++i].c_str() : nullptr;
-    };
-    if (arg == "--scenario") {
-      const char* v = value();
-      if (!v) break;
-      opt.scenario = v;
-    } else if (arg == "--intensity") {
-      const char* v = value();
-      if (!v) break;
-      opt.intensity = std::atof(v);
-    } else if (arg == "--seed") {
-      const char* v = value();
-      if (!v) break;
-      opt.seed = std::strtoull(v, nullptr, 0);
-    } else if (arg == "--out") {
-      const char* v = value();
-      if (!v) break;
-      opt.out_path = v;
-    } else if (arg == "--cadence-us") {
-      const char* v = value();
-      if (!v) break;
-      opt.cadence = microseconds(std::atof(v));
-    } else if (arg == "--top") {
-      const char* v = value();
-      if (!v) break;
-      opt.top = std::atoi(v);
-    } else if (opt.command.empty() && !arg.empty() && arg[0] != '-') {
-      opt.command = arg;
-    } else {
-      err << fabric_usage();
-      return 1;
-    }
-  }
+  cli::Parser parser("msdiag fabric", fabric_usage());
+  parser.positional("<command>", opt.command)
+      .flag("--scenario", opt.scenario)
+      .flag("--intensity", opt.intensity)
+      .seed("--seed", opt.seed)
+      .flag("--out", opt.out_path)
+      .flag("--cadence-us", opt.cadence_us)
+      .flag("--top", opt.top);
+  if (!parser.parse(args, err)) return 1;
+  // Range-checked before converting: a double past TimeNs's range does not
+  // convert (half the range, so the bound survives the multiply's rounding).
+  const double max_cadence_us =
+      to_microseconds(std::numeric_limits<TimeNs>::max() / 2);
+  const bool cadence_ok = opt.cadence_us > 0 &&
+                          opt.cadence_us <= max_cadence_us &&
+                          microseconds(opt.cadence_us) > 0;
   const bool known = opt.command == "top" || opt.command == "heatmap" ||
                      opt.command == "timeline" || opt.command == "paths" ||
                      opt.command == "export";
   if (!known || (opt.scenario != "storm" && opt.scenario != "rehash") ||
-      opt.intensity <= 0 || opt.intensity > 1.0 || opt.cadence <= 0 ||
+      opt.intensity <= 0 || opt.intensity > 1.0 || !cadence_ok ||
       opt.top <= 0) {
     err << fabric_usage();
     return 1;
   }
 
   FabricObservatoryConfig obs_cfg;
-  obs_cfg.cadence = opt.cadence;
+  obs_cfg.cadence = microseconds(opt.cadence_us);
   FabricObservatory obs(obs_cfg);
   const FabricDetectorConfig det = run_scenario(opt, obs);
   const FabricReport report = detect_anomalies(obs, det);

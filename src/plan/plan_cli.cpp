@@ -1,10 +1,10 @@
 #include "plan/plan_cli.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <ostream>
 
+#include "core/cli.h"
+#include "diag/artifact.h"
 #include "engine/job.h"
 #include "plan/planner.h"
 
@@ -30,50 +30,30 @@ int msplan_main(const std::vector<std::string>& args, std::ostream& out,
   std::string model_name = "175b";
   std::string json_path;
   std::string net_eff = "auto";
+  std::string schedule = "1f1b";
   bool baseline = false;
   int top_rows = 10;
   spec.gpus = 0;
   spec.global_batch = 0;
 
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    auto value = [&]() -> const char* {
-      return (i + 1 < args.size()) ? args[++i].c_str() : nullptr;
-    };
-    const char* v = nullptr;
-    if (arg == "--model" && (v = value())) {
-      model_name = v;
-    } else if (arg == "--gpus" && (v = value())) {
-      spec.gpus = std::atoi(v);
-    } else if (arg == "--batch" && (v = value())) {
-      spec.global_batch = std::atoi(v);
-    } else if (arg == "--top-k" && (v = value())) {
-      opt.top_k = std::atoi(v);
-    } else if (arg == "--top" && (v = value())) {
-      top_rows = std::atoi(v);
-    } else if (arg == "--net-eff" && (v = value())) {
-      net_eff = v;
-    } else if (arg == "--schedule" && (v = value())) {
-      const std::string s = v;
-      if (s == "gpipe") {
-        spec.schedule = engine::PipelineSchedule::kGpipe;
-      } else if (s != "1f1b") {
-        err << "msplan: unknown schedule `" << s << "`\n" << msplan_usage();
-        return 1;
-      }
-    } else if (arg == "--json" && (v = value())) {
-      json_path = v;
-    } else if (arg == "--baseline") {
-      baseline = true;
-    } else if (arg == "--recompute-search") {
-      spec.search_recompute = true;
-    } else if (arg == "--no-sim") {
-      opt.simulate = false;
-    } else {
-      err << "msplan: unknown or incomplete argument `" << arg << "`\n"
-          << msplan_usage();
-      return 1;
-    }
+  cli::Parser parser("msplan", msplan_usage());
+  parser.flag("--model", model_name)
+      .flag("--gpus", spec.gpus)
+      .flag("--batch", spec.global_batch)
+      .flag("--top-k", opt.top_k)
+      .flag("--top", top_rows)
+      .flag("--net-eff", net_eff)
+      .flag("--schedule", schedule)
+      .flag("--json", json_path)
+      .toggle("--baseline", baseline)
+      .toggle("--recompute-search", spec.search_recompute)
+      .toggle("--no-sim", opt.simulate, false);
+  if (!parser.parse(args, err)) return 1;
+  if (schedule == "gpipe") {
+    spec.schedule = engine::PipelineSchedule::kGpipe;
+  } else if (schedule != "1f1b") {
+    err << "msplan: unknown schedule `" << schedule << "`\n" << msplan_usage();
+    return 1;
   }
 
   if (!model::config_by_name(model_name, spec.model)) {
@@ -98,12 +78,10 @@ int msplan_main(const std::vector<std::string>& args, std::ostream& out,
   }
   if (net_eff == "auto") {
     spec.network_efficiency = fabric_network_efficiency(spec.gpus);
-  } else {
-    spec.network_efficiency = std::atof(net_eff.c_str());
-    if (spec.network_efficiency <= 0 || spec.network_efficiency > 1.0) {
-      err << "msplan: --net-eff must be in (0,1] or `auto`\n";
-      return 1;
-    }
+  } else if (!cli::parse_number(net_eff, spec.network_efficiency) ||
+             spec.network_efficiency <= 0 || spec.network_efficiency > 1.0) {
+    err << "msplan: --net-eff must be in (0,1] or `auto`\n";
+    return 1;
   }
 
   const PlanReport report = search(spec, opt);
@@ -127,12 +105,10 @@ int msplan_main(const std::vector<std::string>& args, std::ostream& out,
   out << "digest: " << digest_hex << "\n";
 
   if (!json_path.empty()) {
-    std::ofstream f(json_path);
-    if (!f) {
+    if (!diag::write_text_file(json_path, report.to_jsonl())) {
       err << "msplan: cannot write " << json_path << "\n";
       return 1;
     }
-    f << report.to_jsonl();
     out << "report: " << json_path << " (" << report.plans.size()
         << " plans)\n";
   }

@@ -1,18 +1,18 @@
 #include "prof/msprof.h"
 
 #include <algorithm>
-#include <fstream>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <ostream>
-#include <sstream>
 
 #include "bench/common.h"
+#include "core/cli.h"
 #include "core/rng.h"
 #include "core/table.h"
 #include "core/time.h"
 #include "core/wallclock.h"
+#include "diag/artifact.h"
 #include "engine/job.h"
 #include "ft/workflow.h"
 #include "net/ccsim.h"
@@ -225,57 +225,44 @@ WorkloadResult run_cc_storm() {
   return {};
 }
 
+namespace {
+
+struct Workload {
+  const char* name;
+  WorkloadResult (*run)();
+};
+constexpr Workload kWorkloads[] = {
+    {"micro_engine", [] { return run_micro_engine(); }},
+    {"fig9_step", run_fig9_step},
+    {"fig11_step", run_fig11_step},
+    {"fig11_production_run", run_fig11_production},
+    {"cc_storm", run_cc_storm},
+};
+
+}  // namespace
+
 std::vector<std::string> workload_names() {
-  return {"micro_engine", "fig9_step", "fig11_step", "fig11_production_run",
-          "cc_storm"};
+  std::vector<std::string> names;
+  for (const Workload& w : kWorkloads) names.emplace_back(w.name);
+  return names;
 }
 
 bool run_workload(const std::string& name, WorkloadResult& out) {
-  if (name == "micro_engine") {
-    out = run_micro_engine();
-    return true;
-  }
-  if (name == "fig9_step") {
-    out = run_fig9_step();
-    return true;
-  }
-  if (name == "fig11_step") {
-    out = run_fig11_step();
-    return true;
-  }
-  if (name == "fig11_production_run") {
-    out = run_fig11_production();
-    return true;
-  }
-  if (name == "cc_storm") {
-    out = run_cc_storm();
-    return true;
+  for (const Workload& w : kWorkloads) {
+    if (name == w.name) {
+      out = w.run();
+      return true;
+    }
   }
   return false;
 }
 
 namespace {
 
-bool read_file(const std::string& path, std::string& out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  out = buf.str();
-  return true;
-}
-
-bool write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << content;
-  return static_cast<bool>(out);
-}
-
 bool load_report(const std::string& path, ProfileReport& report,
                  std::ostream& err) {
   std::string text;
-  if (!read_file(path, text)) {
+  if (!diag::read_text_file(path, text)) {
     err << "msprof: cannot read " << path << "\n";
     return false;
   }
@@ -300,51 +287,27 @@ std::uint64_t events_from_scopes(const ProfileReport& report) {
   return events;
 }
 
-int run_usage(std::ostream& err) {
-  err << "usage: msprof run <workload> [--top K] [--repeat N]\n"
-         "                  [--json out.jsonl] [--trace out.json] [--prom "
-         "out.prom]\n";
-  return 1;
-}
-
 int run_main(const std::vector<std::string>& args, std::ostream& out,
              std::ostream& err) {
   std::string workload;
   std::string json_path, trace_path, prom_path;
   std::size_t top_k = 20;
   int repeat = 1;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    auto value = [&]() -> const char* {
-      return (i + 1 < args.size()) ? args[++i].c_str() : nullptr;
-    };
-    if (arg == "--top") {
-      const char* v = value();
-      if (!v) return run_usage(err);
-      top_k = static_cast<std::size_t>(std::atoi(v));
-    } else if (arg == "--repeat") {
-      const char* v = value();
-      if (!v) return run_usage(err);
-      repeat = std::atoi(v);
-    } else if (arg == "--json") {
-      const char* v = value();
-      if (!v) return run_usage(err);
-      json_path = v;
-    } else if (arg == "--trace") {
-      const char* v = value();
-      if (!v) return run_usage(err);
-      trace_path = v;
-    } else if (arg == "--prom") {
-      const char* v = value();
-      if (!v) return run_usage(err);
-      prom_path = v;
-    } else if (workload.empty() && !arg.empty() && arg[0] != '-') {
-      workload = arg;
-    } else {
-      return run_usage(err);
-    }
+  cli::Parser parser("msprof run",
+                     "usage: msprof run <workload> [--top K] [--repeat N]\n"
+                     "                  [--json out.jsonl] [--trace out.json] "
+                     "[--prom out.prom]\n");
+  parser.positional("<workload>", workload)
+      .flag("--top", top_k)
+      .flag("--repeat", repeat)
+      .flag("--json", json_path)
+      .flag("--trace", trace_path)
+      .flag("--prom", prom_path);
+  if (!parser.parse(args, err)) return 1;
+  if (repeat < 1) {
+    parser.error(err, "--repeat must be at least 1");
+    return 1;
   }
-  if (workload.empty() || repeat < 1) return run_usage(err);
 
   reset();
   set_enabled(true);
@@ -389,7 +352,7 @@ int run_main(const std::vector<std::string>& args, std::ostream& out,
 
   int failures = 0;
   if (!json_path.empty()) {
-    if (write_file(json_path, report.to_jsonl())) {
+    if (diag::write_text_file(json_path, report.to_jsonl())) {
       out << "wrote " << json_path << " (profile JSONL)\n";
     } else {
       err << "msprof: cannot write " << json_path << "\n";
@@ -399,7 +362,7 @@ int run_main(const std::vector<std::string>& args, std::ostream& out,
   if (!trace_path.empty()) {
     std::uint64_t dropped = 0;
     const auto events = drain_trace(&dropped);
-    if (write_file(trace_path, to_chrome_trace(events, dropped))) {
+    if (diag::write_text_file(trace_path, to_chrome_trace(events, dropped))) {
       out << "wrote " << trace_path << " (" << events.size()
           << " self-trace spans";
       if (dropped != 0) out << ", " << dropped << " dropped";
@@ -412,7 +375,8 @@ int run_main(const std::vector<std::string>& args, std::ostream& out,
   if (!prom_path.empty()) {
     telemetry::MetricsRegistry registry;
     export_profile(report, registry);
-    if (write_file(prom_path, telemetry::prometheus_text(registry.snapshot()))) {
+    if (diag::write_text_file(
+            prom_path, telemetry::prometheus_text(registry.snapshot()))) {
       out << "wrote " << prom_path << " (Prometheus exposition)\n";
     } else {
       err << "msprof: cannot write " << prom_path << "\n";
@@ -426,20 +390,10 @@ int report_main(const std::vector<std::string>& args, std::ostream& out,
                 std::ostream& err) {
   std::string path;
   std::size_t top_k = 20;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--top" && i + 1 < args.size()) {
-      top_k = static_cast<std::size_t>(std::atoi(args[++i].c_str()));
-    } else if (path.empty()) {
-      path = args[i];
-    } else {
-      err << "usage: msprof report <profile.jsonl> [--top K]\n";
-      return 1;
-    }
-  }
-  if (path.empty()) {
-    err << "usage: msprof report <profile.jsonl> [--top K]\n";
-    return 1;
-  }
+  cli::Parser parser("msprof report",
+                     "usage: msprof report <profile.jsonl> [--top K]\n");
+  parser.positional("<profile.jsonl>", path).flag("--top", top_k);
+  if (!parser.parse(args, err)) return 1;
   ProfileReport report;
   if (!load_report(path, report, err)) return 1;
   out << report.render(top_k);
@@ -448,22 +402,18 @@ int report_main(const std::vector<std::string>& args, std::ostream& out,
 
 int diff_main(const std::vector<std::string>& args, std::ostream& out,
               std::ostream& err) {
-  std::vector<std::string> paths;
+  std::string base_path, cand_path;
   std::size_t top_k = 20;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--top" && i + 1 < args.size()) {
-      top_k = static_cast<std::size_t>(std::atoi(args[++i].c_str()));
-    } else {
-      paths.push_back(args[i]);
-    }
-  }
-  if (paths.size() != 2) {
-    err << "usage: msprof diff <base.jsonl> <cand.jsonl> [--top K]\n";
-    return 1;
-  }
+  cli::Parser parser(
+      "msprof diff",
+      "usage: msprof diff <base.jsonl> <cand.jsonl> [--top K]\n");
+  parser.positional("<base.jsonl>", base_path)
+      .positional("<cand.jsonl>", cand_path)
+      .flag("--top", top_k);
+  if (!parser.parse(args, err)) return 1;
   ProfileReport base, cand;
-  if (!load_report(paths[0], base, err)) return 1;
-  if (!load_report(paths[1], cand, err)) return 1;
+  if (!load_report(base_path, base, err)) return 1;
+  if (!load_report(cand_path, cand, err)) return 1;
   out << render_diff(base, cand, top_k);
   return 0;
 }
@@ -473,29 +423,13 @@ int overhead_main(const std::vector<std::string>& args, std::ostream& out,
   std::string workload = "fig11_production_run";
   int repeat = 3;
   double budget = 0.03;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    auto value = [&]() -> const char* {
-      return (i + 1 < args.size()) ? args[++i].c_str() : nullptr;
-    };
-    if (arg == "--workload") {
-      const char* v = value();
-      if (!v) return 1;
-      workload = v;
-    } else if (arg == "--repeat") {
-      const char* v = value();
-      if (!v) return 1;
-      repeat = std::atoi(v);
-    } else if (arg == "--budget") {
-      const char* v = value();
-      if (!v) return 1;
-      budget = std::atof(v);
-    } else {
-      err << "usage: msprof overhead [--workload W] [--repeat N] [--budget "
-             "F]\n";
-      return 1;
-    }
-  }
+  cli::Parser parser(
+      "msprof overhead",
+      "usage: msprof overhead [--workload W] [--repeat N] [--budget F]\n");
+  parser.flag("--workload", workload)
+      .flag("--repeat", repeat)
+      .flag("--budget", budget);
+  if (!parser.parse(args, err)) return 1;
   if (repeat < 1) repeat = 1;
 
   WorkloadResult result;

@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "check/digest.h"
+#include "core/cli.h"
 #include "core/fatal.h"
 #include "core/json.h"
 #include "core/stats.h"
@@ -389,8 +390,7 @@ bool parse_ledger_jsonl(const std::string& text, LedgerSeries& out) {
       if (!v.has("lost_ns") || !parse_lost(v.at("lost_ns"), series.totals.lost)) {
         return false;
       }
-      const std::string digest = v.text("digest");
-      series.digest = std::strtoull(digest.c_str(), nullptr, 16);
+      if (!cli::parse_seed(v.text("digest"), series.digest)) return false;
     } else {
       return false;  // unknown record type
     }
@@ -577,22 +577,11 @@ int ledger_main(const std::vector<std::string>& args, std::ostream& out,
   std::string path;
   bool as_json = false;
   bool chart = true;
-  for (const auto& arg : args) {
-    if (arg == "--json") {
-      as_json = true;
-    } else if (arg == "--no-chart") {
-      chart = false;
-    } else if (path.empty() && !arg.empty() && arg[0] != '-') {
-      path = arg;
-    } else {
-      err << "usage:\n" << ledger_usage();
-      return 1;
-    }
-  }
-  if (path.empty()) {
-    err << "usage:\n" << ledger_usage();
-    return 1;
-  }
+  cli::Parser parser("msdiag ledger", "usage:\n" + ledger_usage());
+  parser.positional("<run.jsonl>", path)
+      .toggle("--json", as_json)
+      .toggle("--no-chart", chart, false);
+  if (!parser.parse(args, err)) return 1;
   LedgerSeries series;
   if (!load_ledger(path, series, err)) return 1;
   out << (as_json ? to_jsonl(series) : render(series, chart));

@@ -736,6 +736,23 @@ TEST(CalibrateCli, BadInvocationsExitNonZero) {
             1);
 }
 
+TEST(CalibrateCli, MalformedNumbersExitOneNamingTheFlag) {
+  for (const char* flag : {"--tolerance", "--gemm-eff", "--net-eff"}) {
+    std::ostringstream out, err;
+    EXPECT_EQ(calib::calibrate_main({"t.jsonl", flag, "x"}, out, err), 1)
+        << flag;
+    EXPECT_NE(err.str().find(std::string("msdiag calibrate: invalid value "
+                                         "\"x\" for ") +
+                             flag),
+              std::string::npos)
+        << err.str();
+    EXPECT_NE(err.str().find("msdiag calibrate <trace>"), std::string::npos);
+  }
+  std::ostringstream out, err;
+  EXPECT_EQ(calib::calibrate_main({"--emit"}, out, err), 1);
+  EXPECT_NE(err.str().find("--emit needs a value"), std::string::npos);
+}
+
 TEST(CalibrateCli, OutOfToleranceReplayExitsOne) {
   // Calibrating a fixture trace against the demo preset forces a workload
   // mismatch the replay cannot hide (the demo step runs far more

@@ -129,6 +129,19 @@ TEST(Outcome, JsonRoundTripsBitExactly) {
   EXPECT_TRUE(identical(record, parsed));
 }
 
+TEST(Outcome, JsonRejectsTokensThatDoNotFullyConvert) {
+  const std::string text = to_json(sample_record());
+  for (const std::string key : {"\"effective_time_ratio\":", "\"restarts\":",
+                                "\"record_digest\":\""}) {
+    std::string bad = text;
+    const auto at = bad.find(key);
+    ASSERT_NE(at, std::string::npos) << key;
+    bad.insert(at + key.size(), "1..");  // e.g. 1..0.93: used to read as 1
+    OutcomeRecord parsed;
+    EXPECT_FALSE(from_json(bad, parsed)) << key;
+  }
+}
+
 TEST(Outcome, JsonIsWellFormed) {
   const auto doc = testjson::parse(to_json(sample_record()));
   ASSERT_TRUE(doc.is_object());

@@ -2,8 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "core/cli.h"
 #include "core/json.h"
 #include "core/rng.h"
 #include "core/stats.h"
@@ -401,6 +406,15 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_FALSE(json::parse("{} trailing", v));
 }
 
+TEST(Json, ParseRejectsNumbersThatDoNotFullyConvert) {
+  json::Value v;
+  EXPECT_FALSE(json::parse("1e", v));
+  EXPECT_FALSE(json::parse("[2e+]", v));
+  EXPECT_FALSE(json::parse("{\"a\":-3E}", v));
+  ASSERT_TRUE(json::parse("[1.5e3,-0.25,7]", v));
+  EXPECT_DOUBLE_EQ(v[0].number, 1500.0);
+}
+
 TEST(Json, ParseReportsErrorWithByteOffset) {
   json::Value v;
   std::string error;
@@ -433,6 +447,157 @@ TEST(Json, ParseDecodesUnicodeEscapes) {
   json::Value v;
   ASSERT_TRUE(json::parse("\"a\\u0041\\u00e9\"", v));
   EXPECT_EQ(v.str, "aA\xc3\xa9");
+}
+
+// ----------------------------------------------------------------- cli
+
+TEST(CliNumber, IntegersMustBeWholeTokensThatFit) {
+  int i = 7;
+  EXPECT_TRUE(cli::parse_number("-42", i));
+  EXPECT_EQ(i, -42);
+  for (const char* bad : {"", "64abc", "abc", " 5", "+5", "1.5", "1e3",
+                          "2147483648", "0x10"}) {
+    EXPECT_FALSE(cli::parse_number(bad, i)) << bad;
+    EXPECT_EQ(i, -42) << "untouched on failure: " << bad;
+  }
+  std::int64_t wide = 0;
+  EXPECT_TRUE(cli::parse_number("-9223372036854775808", wide));
+  EXPECT_EQ(wide, std::numeric_limits<std::int64_t>::min());
+  EXPECT_FALSE(cli::parse_number("9223372036854775808", wide));
+}
+
+TEST(CliNumber, CountsAreNonNegativeDecimal) {
+  std::size_t n = 3;
+  EXPECT_TRUE(cli::parse_number("010", n));
+  EXPECT_EQ(n, 10u) << "decimal, as atoi read it";
+  EXPECT_TRUE(cli::parse_number("18446744073709551615", n));
+  EXPECT_EQ(n, std::numeric_limits<std::size_t>::max());
+  for (const char* bad : {"-1", "18446744073709551616", "5x", ""}) {
+    EXPECT_FALSE(cli::parse_number(bad, n)) << bad;
+  }
+}
+
+TEST(CliNumber, SeedsReadDecimalAndHex) {
+  std::uint64_t s = 0;
+  EXPECT_TRUE(cli::parse_seed("1234567", s));
+  EXPECT_EQ(s, 1234567u);
+  EXPECT_TRUE(cli::parse_seed("0xC405", s));
+  EXPECT_EQ(s, 0xC405u);
+  EXPECT_TRUE(cli::parse_seed("0xffffffffffffffff", s));
+  EXPECT_EQ(s, std::numeric_limits<std::uint64_t>::max());
+  for (const char* bad : {"", "abc", "-1", " 1", "0x", "0x1g", "12abc",
+                          "0x10000000000000000"}) {
+    EXPECT_FALSE(cli::parse_seed(bad, s)) << bad;
+  }
+  EXPECT_EQ(s, std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(CliNumber, DoublesMustBeFinite) {
+  double d = 1.0;
+  EXPECT_TRUE(cli::parse_number("0.03", d));
+  EXPECT_DOUBLE_EQ(d, 0.03);
+  EXPECT_TRUE(cli::parse_number(".5", d));
+  EXPECT_DOUBLE_EQ(d, 0.5);
+  EXPECT_TRUE(cli::parse_number("-2e-3", d));
+  EXPECT_DOUBLE_EQ(d, -2e-3);
+  for (const char* bad : {"", "abc", "0.5x", "nan", "NaN", "inf", "-inf",
+                          "infinity", "1e999", " 1"}) {
+    EXPECT_FALSE(cli::parse_number(bad, d)) << bad;
+  }
+  EXPECT_DOUBLE_EQ(d, -2e-3);
+}
+
+struct CliFixture {
+  std::string name = "default";
+  std::string path, second;
+  int count = 1;
+  std::size_t top = 5;
+  double budget = 0.5;
+  std::uint64_t seed = 0;
+  bool json = false;
+  bool chart = true;
+  cli::Parser parser{"tool", "usage: tool <path> [--top K]\n"};
+  std::ostringstream err;
+
+  CliFixture() {
+    parser.positional("<path>", path)
+        .positional("<second>", second, false)
+        .flag("--name", name)
+        .flag("--count", count)
+        .flag("--top", top)
+        .flag("--budget", budget)
+        .seed("--seed", seed)
+        .toggle("--json", json)
+        .toggle("--no-chart", chart, false);
+  }
+  bool parse(const std::vector<std::string>& args) {
+    err.str("");
+    return parser.parse(args, err);
+  }
+};
+
+TEST(CliParser, BindsEveryKindAndPositionalsInOrder) {
+  CliFixture f;
+  ASSERT_TRUE(f.parse({"a.jsonl", "--name", "--dash-value", "--count", "-3",
+                       "--top", "9", "--budget", "0.25", "--seed", "0x2a",
+                       "--json", "--no-chart", "b.jsonl"}))
+      << f.err.str();
+  EXPECT_EQ(f.path, "a.jsonl");
+  EXPECT_EQ(f.second, "b.jsonl");
+  EXPECT_EQ(f.name, "--dash-value") << "a value is the next token, always";
+  EXPECT_EQ(f.count, -3);
+  EXPECT_EQ(f.top, 9u);
+  EXPECT_DOUBLE_EQ(f.budget, 0.25);
+  EXPECT_EQ(f.seed, 42u);
+  EXPECT_TRUE(f.json);
+  EXPECT_FALSE(f.chart);
+  EXPECT_TRUE(f.parser.seen("--seed"));
+  EXPECT_FALSE(f.parser.seen("--bogus"));
+  EXPECT_TRUE(f.err.str().empty());
+}
+
+TEST(CliParser, RepeatedFlagKeepsTheLastValue) {
+  CliFixture f;
+  ASSERT_TRUE(f.parse({"p", "--top", "3", "--name", "x", "--top", "7",
+                       "--name", "y"}));
+  EXPECT_EQ(f.top, 7u);
+  EXPECT_EQ(f.name, "y");
+  EXPECT_EQ(f.second, "") << "an optional positional may stay empty";
+  EXPECT_TRUE(f.parse({"p"}));
+  EXPECT_FALSE(f.parser.seen("--top")) << "seen() reflects the last parse";
+}
+
+TEST(CliParser, MalformedLinesFailWithAMessageAndUsage) {
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases =
+      {{{"--top"}, "tool: --top needs a value\n"},
+       {{"p", "--seed"}, "tool: --seed needs a value\n"},
+       {{"--bogus"}, "tool: unknown flag --bogus\n"},
+       {{"-h"}, "tool: unknown flag -h\n"},
+       {{"a", "b", "c"}, "tool: unexpected argument \"c\"\n"},
+       {{"--json"}, "tool: missing <path>\n"},
+       {{"--count", "64abc"},
+        "tool: invalid value \"64abc\" for --count (expected an integer)\n"},
+       {{"--top", "-1"},
+        "tool: invalid value \"-1\" for --top (expected a non-negative "
+        "integer)\n"},
+       {{"--budget", "nan"},
+        "tool: invalid value \"nan\" for --budget (expected a finite "
+        "number)\n"},
+       {{"--seed", "abc"},
+        "tool: invalid value \"abc\" for --seed (expected an unsigned 64-bit "
+        "integer)\n"}};
+  for (const auto& [args, message] : cases) {
+    CliFixture f;
+    EXPECT_FALSE(f.parse(args)) << message;
+    EXPECT_EQ(f.err.str(), message + "usage: tool <path> [--top K]\n");
+  }
+}
+
+TEST(CliParser, ErrorPrefixesTheToolAndAppendsUsage) {
+  CliFixture f;
+  f.parser.error(f.err, "--seeds must be at least 1");
+  EXPECT_EQ(f.err.str(),
+            "tool: --seeds must be at least 1\nusage: tool <path> [--top K]\n");
 }
 
 }  // namespace

@@ -441,4 +441,25 @@ TEST_F(MsdiagTest, BadInvocationsFailWithUsage) {
   EXPECT_EQ(run({"diff", temp_path("msdiag_missing.jsonl")}), 1);
 }
 
+TEST_F(MsdiagTest, MissingOrMalformedFlagValuesNameTheFlag) {
+  // Used to try opening a file called "--top".
+  EXPECT_EQ(run({"analyze", "--top"}), 1);
+  EXPECT_NE(err.str().find("msdiag analyze: --top needs a value"),
+            std::string::npos)
+      << err.str();
+  EXPECT_EQ(err.str().find("cannot read"), std::string::npos);
+  EXPECT_EQ(run({"analyze", "t.jsonl", "--top", "3x"}), 1);
+  EXPECT_NE(err.str().find("invalid value \"3x\" for --top"),
+            std::string::npos)
+      << err.str();
+  EXPECT_EQ(run({"analyze", "a.jsonl", "b.jsonl"}), 1);
+  EXPECT_NE(err.str().find("unexpected argument \"b.jsonl\""),
+            std::string::npos);
+  EXPECT_EQ(run({"flight", "dump.jsonl", "--perfetto"}), 1);
+  EXPECT_NE(err.str().find("msdiag flight: --perfetto needs a value"),
+            std::string::npos)
+      << err.str();
+  EXPECT_NE(err.str().find("usage: msdiag"), std::string::npos);
+}
+
 }  // namespace

@@ -7,6 +7,7 @@
 // (same seed => same digest).
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -23,6 +24,7 @@
 #include "net/flowsim.h"
 #include "net/topology.h"
 #include "support/builders.h"
+#include "support/tmpdir.h"
 
 namespace ms::net::fabric {
 namespace {
@@ -356,6 +358,58 @@ TEST(FabricCli, ExportRehashEmitsJsonl) {
   const int rc = fabric_main({"export", "--scenario", "rehash"}, out, err);
   EXPECT_EQ(rc, 0) << err.str();
   EXPECT_NE(out.str().find("fabric-link"), std::string::npos);
+}
+
+TEST(FabricCli, MissingOrMalformedValuesFailWithUsage) {
+  std::ostringstream out, err;
+  EXPECT_EQ(fabric_main({"top", "--scenario", "storm", "--top"}, out, err), 1);
+  EXPECT_NE(err.str().find("msdiag fabric: --top needs a value"),
+            std::string::npos)
+      << err.str();
+  EXPECT_NE(err.str().find("msdiag fabric <top|"), std::string::npos);
+  err.str("");
+  EXPECT_EQ(fabric_main({"top", "--intensity", "0.8abc"}, out, err), 1);
+  EXPECT_NE(err.str().find("invalid value \"0.8abc\" for --intensity"),
+            std::string::npos)
+      << err.str();
+  err.str("");
+  EXPECT_EQ(fabric_main({"paths", "--seed", "-1"}, out, err), 1);
+  EXPECT_NE(err.str().find("for --seed"), std::string::npos) << err.str();
+  // Finite but past TimeNs's range: refused before it is converted.
+  EXPECT_EQ(fabric_main({"top", "--cadence-us", "1e300"}, out, err), 1);
+  EXPECT_EQ(fabric_main({"top", "--cadence-us", "-1e300"}, out, err), 1);
+  EXPECT_TRUE(out.str().empty()) << out.str();
+}
+
+TEST(FabricCli, SeedReadsDecimalAndHexAlike) {
+  std::ostringstream dec_out, hex_out, err;
+  ASSERT_EQ(fabric_main({"paths", "--scenario", "rehash", "--seed", "42"},
+                        dec_out, err),
+            0)
+      << err.str();
+  ASSERT_EQ(fabric_main({"paths", "--scenario", "rehash", "--seed", "0x2a"},
+                        hex_out, err),
+            0)
+      << err.str();
+  EXPECT_EQ(dec_out.str(), hex_out.str());
+}
+
+TEST(FabricCli, UnwritableOutPathExitsOne) {
+  testsupport::TmpDir dir("fabric");
+  const std::string blocker = dir.file("not_a_dir");
+  std::ofstream(blocker) << "x";
+  for (const char* cmd : {"export", "timeline"}) {
+    std::ostringstream out, err;
+    EXPECT_EQ(fabric_main({cmd, "--scenario", "rehash", "--out",
+                           blocker + "/fabric.out"},
+                          out, err),
+              1)
+        << cmd;
+    EXPECT_NE(err.str().find("msdiag fabric: cannot write " + blocker +
+                             "/fabric.out"),
+              std::string::npos)
+        << cmd << ": " << err.str();
+  }
 }
 
 TEST(FabricCli, UnknownCommandFailsWithUsage) {

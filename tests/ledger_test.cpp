@@ -210,6 +210,12 @@ TEST(Ledger, ParseRejectsGarbage) {
   LedgerSeries out;
   EXPECT_FALSE(parse_ledger_jsonl("not json at all\n", out));
   EXPECT_FALSE(parse_ledger_jsonl("", out));
+  // A digest that does not fully convert used to read as 0.
+  std::string text = to_jsonl(run_and_ingest(0x41).series);
+  const auto at = text.rfind("\"digest\":\"0x");
+  ASSERT_NE(at, std::string::npos);
+  text.insert(at + 12, "zz");
+  EXPECT_FALSE(parse_ledger_jsonl(text, out));
 }
 
 // ---------------------------------------------------------- rendering
@@ -263,6 +269,18 @@ TEST_F(LedgerCliTest, MissingFileFails) {
   std::ostringstream out, err;
   EXPECT_NE(ledger_main({path_ + ".does-not-exist"}, out, err), 0);
   EXPECT_FALSE(err.str().empty());
+}
+
+TEST_F(LedgerCliTest, UnknownFlagOrSurplusPathFails) {
+  std::ostringstream out, err;
+  EXPECT_EQ(ledger_main({path_, "--bogus"}, out, err), 1);
+  EXPECT_NE(err.str().find("msdiag ledger: unknown flag --bogus"),
+            std::string::npos)
+      << err.str();
+  std::ostringstream out2, err2;
+  EXPECT_EQ(ledger_main({path_, path_}, out2, err2), 1);
+  EXPECT_NE(err2.str().find("unexpected argument"), std::string::npos);
+  EXPECT_TRUE(out.str().empty() && out2.str().empty());
 }
 
 TEST_F(LedgerCliTest, UsageOnNoArgs) {

@@ -6,3 +6,6 @@
 // bad_entropy and bad_wallclock are exercised elsewhere in the fixture
 // narrative, and bad_plan_report has coverage so only ordered-digest fires
 // on it.
+
+// cli is covered here too, so the only rule it could trip is the
+// unchecked-number exemption it is there to prove.

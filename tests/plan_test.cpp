@@ -23,6 +23,7 @@
 #include "plan/plan_cli.h"
 #include "plan/planner.h"
 #include "plan/space.h"
+#include "support/tmpdir.h"
 
 #ifndef MS_GOLDEN_DIR
 #error "build must define MS_GOLDEN_DIR"
@@ -207,6 +208,8 @@ TEST(MsplanCli, RequiresGpus) {
   std::string err;
   EXPECT_EQ(run_cli({"--model", "175b"}, nullptr, &err), 1);
   EXPECT_NE(err.find("--gpus"), std::string::npos);
+  EXPECT_EQ(run_cli({}, nullptr, &err), 1);
+  EXPECT_NE(err.find("usage: msplan"), std::string::npos);
 }
 
 TEST(MsplanCli, RejectsUnknownModelScheduleAndNetEff) {
@@ -216,6 +219,35 @@ TEST(MsplanCli, RejectsUnknownModelScheduleAndNetEff) {
   EXPECT_EQ(run_cli({"--gpus", "64", "--schedule", "dfs"}, nullptr, &err), 1);
   EXPECT_EQ(run_cli({"--gpus", "64", "--net-eff", "1.5"}, nullptr, &err), 1);
   EXPECT_EQ(run_cli({"--gpus", "64", "--net-eff", "0"}, nullptr, &err), 1);
+}
+
+TEST(MsplanCli, MalformedNumbersAreRefusedBeforeAnySearch) {
+  std::string out, err;
+  EXPECT_EQ(run_cli({"--gpus", "64abc"}, &out, &err), 1);
+  EXPECT_NE(err.find("msplan: invalid value \"64abc\" for --gpus"),
+            std::string::npos)
+      << err;
+  EXPECT_NE(err.find("usage: msplan"), std::string::npos);
+  EXPECT_TRUE(out.empty()) << "no search ran: " << out;
+  EXPECT_EQ(run_cli({"--gpus", "64", "--top-k"}, nullptr, &err), 1);
+  EXPECT_NE(err.find("--top-k needs a value"), std::string::npos) << err;
+  EXPECT_EQ(run_cli({"--gpus", "64", "--net-eff", "0.9x"}, nullptr, &err), 1);
+  EXPECT_NE(err.find("--net-eff"), std::string::npos) << err;
+}
+
+TEST(MsplanCli, UnwritableJsonPathExitsOne) {
+  testsupport::TmpDir dir("msplan");
+  const std::string blocker = dir.file("not_a_dir");
+  std::ofstream(blocker) << "x";
+  std::string out, err;
+  EXPECT_EQ(run_cli({"--model", "13b", "--gpus", "16", "--batch", "32",
+                     "--net-eff", "0.9", "--no-sim", "--json",
+                     blocker + "/plans.jsonl"},
+                    &out, &err),
+            1);
+  EXPECT_NE(err.find("msplan: cannot write " + blocker + "/plans.jsonl"),
+            std::string::npos)
+      << err;
 }
 
 TEST(MsplanCli, InfeasibleSpaceIsAnError) {

@@ -17,6 +17,7 @@
 #include "prof/report.h"
 #include "prof/telemetry_bridge.h"
 #include "sim/engine.h"
+#include "support/tmpdir.h"
 #include "telemetry/metrics.h"
 
 namespace ms::prof {
@@ -554,6 +555,45 @@ TEST_F(ProfTest, CliRejectsBadInputs) {
   EXPECT_EQ(run_cli({"report", bad}, &text), 1);
   EXPECT_EQ(run_cli({"diff", bad}, &text), 1);
   EXPECT_EQ(run_cli({"overhead", "--workload", "no_such"}, &text), 1);
+}
+
+TEST_F(ProfTest, CliRefusesMalformedFlagValues) {
+  std::string text;
+  EXPECT_EQ(run_cli({"overhead", "--budget", "abc"}, &text), 1);
+  EXPECT_NE(text.find("msprof overhead: invalid value \"abc\" for --budget"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("profiler overhead"), std::string::npos)
+      << "no gate ran against a 0% budget";
+  EXPECT_EQ(run_cli({"report", temp_path("prof_a.jsonl"), "--top", "-1"},
+                    &text),
+            1);
+  EXPECT_NE(text.find("invalid value \"-1\" for --top"), std::string::npos)
+      << text;
+  EXPECT_EQ(run_cli({"report", temp_path("prof_a.jsonl"), "--top"}, &text), 1);
+  EXPECT_NE(text.find("msprof report: --top needs a value"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(run_cli({"diff", "a.jsonl", "b.jsonl", "c.jsonl"}, &text), 1);
+  EXPECT_NE(text.find("unexpected argument \"c.jsonl\""), std::string::npos);
+  EXPECT_EQ(run_cli({"run", "micro_engine", "--repeat", "2x"}, &text), 1);
+  EXPECT_NE(text.find("msprof run: invalid value \"2x\" for --repeat"),
+            std::string::npos)
+      << text;
+}
+
+TEST_F(ProfTest, CliUnwritableOutputExitsOne) {
+  testsupport::TmpDir dir("msprof");
+  const std::string blocker = dir.file("not_a_dir");
+  std::ofstream(blocker) << "x";
+  std::string text;
+  EXPECT_EQ(run_cli({"run", "micro_engine", "--json",
+                     blocker + "/prof.jsonl"},
+                    &text),
+            1);
+  EXPECT_NE(text.find("msprof: cannot write " + blocker + "/prof.jsonl"),
+            std::string::npos)
+      << text;
 }
 
 }  // namespace

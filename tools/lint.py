@@ -49,6 +49,12 @@ mutex-annotated Raw std::mutex/std::condition_variable/lock_guard etc. are
                cannot see through unannotated std primitives; ms::Mutex /
                MutexLock / CondVar are the annotated capabilities.
 
+unchecked-number atoi/atol/atoll/atof and nullptr-end strto* calls are
+               banned in src/ and tools/ outside core/cli.*: they read
+               "64abc" as 64 and "abc" as 0 without a word. Use
+               cli::Parser / cli::parse_number (core/cli.h), std::from_chars,
+               or pass an end pointer and check it.
+
 Self-test
 ---------
     python3 tools/lint.py --root <corpus> --expect <expected.txt>
@@ -86,6 +92,7 @@ RULES = {
     "mutex-annotated":
         "no raw std::mutex/condition_variable/lock_guard outside core/mutex.h;"
         " use ms::Mutex/MutexLock/CondVar",
+    "unchecked-number": "no atoi/atof or nullptr-end strto* outside core/cli.*",
 }
 
 UNIT_LITERAL_RE = re.compile(r"(?<![\w.])1e\+?(?:3|6|9|12|15)\b")
@@ -101,6 +108,10 @@ AMBIENT_ENTROPY_RE = re.compile(
 RAW_MUTEX_RE = re.compile(
     r"std::(?:mutex|shared_mutex|recursive_mutex|timed_mutex|"
     r"condition_variable(?:_any)?|lock_guard|unique_lock|scoped_lock)\b")
+# The first argument may hold one level of parentheses (`s.c_str()`).
+UNCHECKED_NUMBER_RE = re.compile(
+    r"\bato(?:i|l|ll|f)\s*\(|\bstrto(?:d|f|ld|l|ll|ul|ull|imax|umax)\s*"
+    r"\((?:[^,;()]|\([^()]*\))*,\s*(?:nullptr|NULL|0)\s*[,)]")
 ALLOW_RE = re.compile(r"ms-lint:\s*allow\((?P<rule>[\w-]+)\)\s*:\s*\S")
 ALLOW_FILE_RE = re.compile(r"ms-lint:\s*allow-file\((?P<rule>[\w-]+)\)\s*:\s*\S")
 BARE_WAIVER_RE = re.compile(r"ms-lint:\s*allow(?:-file)?\([\w-]+\)\s*:?\s*$")
@@ -121,6 +132,8 @@ EXEMPT = {
     # The annotated wrapper home: the std::mutex inside ms::Mutex IS the
     # wrapped capability.
     "mutex-annotated": {"src/core/mutex.h"},
+    # The one parser, where every tool's numbers come from.
+    "unchecked-number": {"src/core/cli.h", "src/core/cli.cpp"},
 }
 
 
@@ -134,9 +147,10 @@ class Linter:
 
     # ---------------------------------------------------------- helpers
 
-    def src_files(self, suffixes: tuple[str, ...]) -> list[pathlib.Path]:
-        src = self.root / "src"
-        return sorted(p for p in src.rglob("*") if p.suffix in suffixes)
+    def src_files(self, suffixes: tuple[str, ...],
+                  dirs: tuple[str, ...] = ("src",)) -> list[pathlib.Path]:
+        return sorted(p for d in dirs for p in (self.root / d).rglob("*")
+                      if p.suffix in suffixes)
 
     @staticmethod
     def file_waivers(lines: list[str]) -> set[str]:
@@ -277,6 +291,24 @@ class Linter:
                         " hash-layout-dependent — use an ordered container or"
                         " sort first")
 
+    def check_unchecked_number(self):
+        rule = "unchecked-number"
+        for path in self.src_files((".h", ".cpp"), ("src", "tools")):
+            rel = path.relative_to(self.root).as_posix()
+            lines = path.read_text().splitlines()
+            if rel in EXEMPT[rule] or rule in self.file_waivers(lines):
+                continue
+            # Whole-file match: a call's arguments may span lines.
+            code = "\n".join(line.split("//", 1)[0] for line in lines)
+            for m in UNCHECKED_NUMBER_RE.finditer(code):
+                idx = code.count("\n", 0, m.start())
+                if not self.line_waived(lines, idx, rule):
+                    self.report(
+                        path, idx + 1, rule,
+                        f"`{m.group().split('(')[0].strip()}` without an end"
+                        " check reads \"64abc\" as 64 and \"abc\" as 0; use"
+                        " cli::parse_number (core/cli.h) or std::from_chars")
+
     def check_pragma_once(self):
         for path in self.src_files((".h",)):
             text = path.read_text()
@@ -310,6 +342,7 @@ class Linter:
     def run(self) -> int:
         self.check_line_rules()
         self.check_ordered_digest()
+        self.check_unchecked_number()
         self.check_pragma_once()
         self.check_test_coverage()
         for path, line_no, rule, msg in self.violations:
@@ -325,6 +358,7 @@ class Linter:
         """Self-test mode: findings must exactly match `expected_path`."""
         self.check_line_rules()
         self.check_ordered_digest()
+        self.check_unchecked_number()
         self.check_pragma_once()
         self.check_test_coverage()
         got = sorted(

@@ -23,12 +23,12 @@
 //
 // ms-lint: allow-file(test-coverage): thin CLI shim; all command logic is
 // in src/diag/msdiag.cpp, exercised by tests/diag_analyzer_test.cpp.
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "calib/calibrate_cli.h"
+#include "core/cli.h"
 #include "diag/artifact.h"
 #include "net/fabric/fabric_cli.h"
 #include "diag/blame.h"
@@ -42,56 +42,27 @@ namespace {
 
 using namespace ms;
 
-int demo_usage(std::ostream& err) {
-  err << "usage: msdiag demo <out.jsonl> [--straggler RANK | --slow-link "
-         "STAGE] [--factor F]\n"
-         "  synthesizes one traced training step (pp=8 pipeline) and writes\n"
-         "  it as a trace artifact; --straggler slows one stage's compute,\n"
-         "  --slow-link one stage's outbound p2p link, by factor F (default "
-         "2.5)\n";
-  return 1;
-}
-
 int demo_main(const std::vector<std::string>& args, std::ostream& out,
               std::ostream& err) {
   std::string out_path;
   int straggler = -1;
   int slow_link = -1;
   double factor = 2.5;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    auto value = [&]() -> const char* {
-      return (i + 1 < args.size()) ? args[++i].c_str() : nullptr;
-    };
-    if (arg == "--straggler") {
-      const char* v = value();
-      if (!v) return demo_usage(err);
-      straggler = std::atoi(v);
-    } else if (arg == "--slow-link") {
-      const char* v = value();
-      if (!v) return demo_usage(err);
-      slow_link = std::atoi(v);
-    } else if (arg == "--factor") {
-      const char* v = value();
-      if (!v) return demo_usage(err);
-      factor = std::atof(v);
-    } else if (out_path.empty() && !arg.empty() && arg[0] != '-') {
-      out_path = arg;
-    } else {
-      return demo_usage(err);
-    }
-  }
-  if (out_path.empty()) return demo_usage(err);
+  cli::Parser parser(
+      "msdiag demo",
+      "usage: msdiag demo <out.jsonl> [--straggler RANK | --slow-link STAGE] "
+      "[--factor F]\n"
+      "  synthesizes one traced training step (pp=8 pipeline) and writes\n"
+      "  it as a trace artifact; --straggler slows one stage's compute,\n"
+      "  --slow-link one stage's outbound p2p link, by factor F (default "
+      "2.5)\n");
+  parser.positional("<out.jsonl>", out_path)
+      .flag("--straggler", straggler)
+      .flag("--slow-link", slow_link)
+      .flag("--factor", factor);
+  if (!parser.parse(args, err)) return 1;
 
-  engine::JobConfig cfg;
-  cfg.model = model::config_175b();
-  cfg.par.tp = 8;
-  cfg.par.pp = 8;
-  cfg.par.vpp = 6;
-  cfg.par.dp = 4;
-  cfg.global_batch = 256;
-  cfg.ops = model::OperatorProfile::megascale();
-  cfg.overlap = engine::OverlapOptions::megascale();
+  engine::JobConfig cfg = calib::demo_config();
   const auto pp = static_cast<std::size_t>(cfg.par.pp);
   if (straggler >= 0) {
     if (straggler >= cfg.par.pp) {
@@ -132,9 +103,7 @@ int demo_main(const std::vector<std::string>& args, std::ostream& out,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args;
-  args.reserve(static_cast<std::size_t>(argc > 1 ? argc - 1 : 0));
-  for (int i = 1; i < argc; ++i) args.emplace_back(argv[i]);
+  const std::vector<std::string> args(argv + 1, argv + argc);
   if (!args.empty() && args.front() == "demo") {
     return demo_main({args.begin() + 1, args.end()}, std::cout, std::cerr);
   }

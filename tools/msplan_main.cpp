@@ -12,10 +12,6 @@
 #include "plan/plan_cli.h"
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
-  if (args.empty()) {
-    std::cerr << ms::plan::msplan_usage();
-    return 1;
-  }
-  return ms::plan::msplan_main(args, std::cout, std::cerr);
+  return ms::plan::msplan_main({argv + 1, argv + argc}, std::cout,
+                               std::cerr);
 }

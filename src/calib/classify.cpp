@@ -2,14 +2,16 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
+#include <string_view>
 
 namespace ms::calib {
 
 namespace {
 
-std::string lower(const std::string& s) {
-  std::string out = s;
+using Key = diag::SpanAttrs::Key;
+
+std::string lower(std::string_view s) {
+  std::string out(s);
   std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
     return static_cast<char>(std::tolower(c));
   });
@@ -20,36 +22,8 @@ bool contains(const std::string& haystack, const char* needle) {
   return haystack.find(needle) != std::string::npos;
 }
 
-/// 64-bit numeric attribute (byte counts overflow SpanAttrs::num's int).
-std::int64_t attr_i64(const diag::SpanAttrs& attrs, const std::string& key,
-                      std::int64_t fallback) {
-  const std::string text = attrs.text(key);
-  if (text.empty()) return fallback;
-  char* end = nullptr;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  return (end != nullptr && *end == '\0') ? v : fallback;
-}
-
-/// Kineto nccl kernels publish sizes under assorted arg names; the ingest
-/// layer sanitizes spaces to '_'.
-Bytes bytes_attr(const diag::SpanAttrs& attrs) {
-  for (const char* key : {"B", "bytes", "In_msg_size", "msg_size", "size"}) {
-    const std::int64_t v = attr_i64(attrs, key, -1);
-    if (v >= 0) return static_cast<Bytes>(v);
-  }
-  return -1;
-}
-
-int ranks_attr(const diag::SpanAttrs& attrs) {
-  for (const char* key : {"n", "ranks", "Group_size", "group_size", "nranks"}) {
-    const std::int64_t v = attr_i64(attrs, key, -1);
-    if (v >= 1) return static_cast<int>(v);
-  }
-  return -1;
-}
-
 collective::Domain domain_attr(const diag::SpanAttrs& attrs) {
-  const std::string dom = attrs.text("dom");
+  const std::string_view dom = attrs.text(Key::kDomain);
   if (dom == "intra" || dom == "nvlink") return collective::Domain::kIntraNode;
   return collective::Domain::kInterNode;
 }
@@ -58,7 +32,7 @@ std::string domain_suffix(collective::Domain d) {
   return d == collective::Domain::kIntraNode ? "intra" : "inter";
 }
 
-bool classify_collective_name(const std::string& name, CollOp& op) {
+bool classify_collective_name(std::string_view name, CollOp& op) {
   const std::string n = lower(name);
   if (contains(n, "allreduce") || contains(n, "all_reduce") ||
       contains(n, "all-reduce")) {
@@ -127,7 +101,7 @@ ClassifiedSpan classify_one(std::size_t index, const diag::TraceSpan& span) {
 
   // --- engine-structured compute spans ---
   if (span.tag == "fwd" || span.tag == "bwd") {
-    const bool head = attrs.num("head", 0) == 1;
+    const bool head = attrs.num(Key::kHead, 0) == 1;
     const bool bwd = span.tag == "bwd";
     out.kind = ClassifiedSpan::Kind::kOperator;
     out.op = bwd ? (head ? OpClass::kBwdHead : OpClass::kBwd)
@@ -147,7 +121,7 @@ ClassifiedSpan classify_one(std::size_t index, const diag::TraceSpan& span) {
   // An explicit `op=` attribute names the wire collective and wins over the
   // span name (ZeRO stage <= 1 all-reduces under a "dp-reducescatter" op).
   CollOp coll_op;
-  const std::string op_attr = attrs.text("op");
+  const std::string_view op_attr = attrs.text(Key::kOp);
   const bool name_is_collective =
       (!op_attr.empty() && classify_collective_name(op_attr, coll_op)) ||
       classify_collective_name(span.name, coll_op);
@@ -164,10 +138,10 @@ ClassifiedSpan classify_one(std::size_t index, const diag::TraceSpan& span) {
       return out;
     }
     out.coll = coll_op;
-    out.ranks = coll_op == CollOp::kP2p ? 2 : ranks_attr(attrs);
-    out.bytes = bytes_attr(attrs);
+    out.ranks = coll_op == CollOp::kP2p ? 2 : attrs.ranks();
+    out.bytes = attrs.bytes();
     out.domain = domain_attr(attrs);
-    out.calls = std::max(1, attrs.num("calls", 1));
+    out.calls = std::max(1, attrs.num(Key::kCalls, 1));
     if (out.bytes < 0 || out.ranks < 1) {
       // Collective without usable size attributes: visible as coverage
       // loss, not a fit sample.

@@ -10,6 +10,7 @@
 #include "core/table.h"
 #include "parallel/overlap.h"
 #include "parallel/zero.h"
+#include "prof/profiler.h"
 #include "telemetry/metrics.h"
 
 namespace ms::calib {
@@ -154,6 +155,7 @@ std::int64_t quant(double v) {
 
 CalibrationReport fit_trace(const std::vector<diag::TraceSpan>& spans,
                             const engine::JobConfig& base) {
+  MS_PROF_SCOPE("calib.fit");
   CalibrationReport report;
   report.spans_total = spans.size();
   if (spans.empty()) {

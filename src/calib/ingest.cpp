@@ -6,11 +6,12 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
-#include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "core/json.h"
 #include "diag/artifact.h"
+#include "prof/profiler.h"
 
 namespace ms::calib {
 
@@ -214,20 +215,24 @@ TraceFormat detect_trace_format(const std::string& text) {
     // span JSONL. The first line parsing as a standalone object is not
     // enough: telemetry::chrome_trace writes the whole trace on one line,
     // so an object carrying "traceEvents" is still a Chrome trace.
-    const std::size_t eol = text.find('\n');
-    const std::string first =
-        eol == std::string::npos ? text : text.substr(0, eol);
-    json::Value v;
-    if (json::parse(first, v) && v.is_object() && !v.has("traceEvents")) {
-      return TraceFormat::kSpanJsonl;
-    }
-    return TraceFormat::kChromeTrace;
+    json::Scanner first(std::string_view(text).substr(0, text.find('\n')));
+    bool trace_events = false;
+    const bool one_object =
+        first.next() == json::Scanner::Kind::kObject &&
+        first.object([&](const std::string& key) {
+          trace_events = trace_events || key == "traceEvents";
+          return first.skip_value();
+        }) &&
+        first.at_end();
+    return one_object && !trace_events ? TraceFormat::kSpanJsonl
+                                       : TraceFormat::kChromeTrace;
   }
   return TraceFormat::kUnknown;
 }
 
 bool ingest_trace(const std::string& text, IngestResult& out,
                   std::string& error) {
+  MS_PROF_SCOPE("calib.ingest");
   out = IngestResult{};
   error.clear();
   const TraceFormat format = detect_trace_format(text);
@@ -236,8 +241,9 @@ bool ingest_trace(const std::string& text, IngestResult& out,
     return false;
   }
   if (format == TraceFormat::kSpanJsonl) {
-    if (!diag::parse_trace_jsonl(text, out.spans)) {
-      error = "malformed span JSONL";
+    std::string where;
+    if (!diag::parse_trace_jsonl(text, out.spans, &where)) {
+      error = "malformed span JSONL: " + where;
       return false;
     }
     return true;

@@ -35,15 +35,23 @@ struct IngestResult {
   std::vector<std::string> warnings;
 };
 
-/// Detected on content, not file extension: a leading '{' with a "type"
-/// line per row is span JSONL; '[' or an object with "traceEvents" (even
-/// one written on a single line) is a Chrome/Kineto trace.
+/// Detected on content, not file extension: a leading '{' whose first line
+/// is one complete JSON object without "traceEvents" is span JSONL; '[' or
+/// an object with "traceEvents" (even one written on a single line) is a
+/// Chrome/Kineto trace. The first line is scanned with json::Scanner, so
+/// no DOM is built on the span-JSONL path.
 enum class TraceFormat { kSpanJsonl, kChromeTrace, kUnknown };
 TraceFormat detect_trace_format(const std::string& text);
 
 /// Parses `text` in either format. Returns false (with `error` set) only
 /// when the artifact is structurally unreadable; per-event quirks are
-/// tolerated and reported through IngestResult.
+/// tolerated and reported through IngestResult. Span JSONL goes through
+/// diag::parse_trace_jsonl, the one-pass reader, so its errors say where:
+/// "malformed span JSONL: line 2: rank out of range at byte 22". Chrome
+/// traces go through json::parse ("malformed Chrome-trace JSON: ..."). Span JSONL goes through
+/// diag::parse_trace_jsonl, the one-pass reader, so its errors say where:
+/// "malformed span JSONL: line 2: rank out of range at byte 22". Chrome
+/// traces go through json::parse ("malformed Chrome-trace JSON: ...").
 bool ingest_trace(const std::string& text, IngestResult& out,
                   std::string& error);
 

@@ -1,12 +1,16 @@
 #include "diag/blame.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
+#include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "check/digest.h"
 #include "core/json.h"
 #include "core/table.h"
+#include "prof/profiler.h"
 
 namespace ms::diag {
 
@@ -15,14 +19,32 @@ namespace {
 constexpr std::size_t kNoNode = static_cast<std::size_t>(-1);
 
 /// Ops of the same group should take the same time on healthy hardware;
-/// the minimum over the step is the nominal, the rest is excess.
-std::string nominal_group(const TraceSpan& sp, const SpanAttrs& at) {
-  if (sp.name == "fwd" || sp.name == "bwd") {
-    return at.has("head") ? sp.name + "+head" : sp.name;
+/// the minimum over the step is the nominal, the rest is excess. Groups are
+/// fwd/bwd (with or without the logits head), the optimizer, and
+/// pipeline-comm spans by name; a comm span named like another group
+/// ("optimizer", "fwd+head") shares that group's nominal.
+enum class Group : std::uint8_t {
+  kNone, kFwd, kFwdHead, kBwd, kBwdHead, kOptimizer, kSend, kRecv,
+  kRecvWait, kNamed,  // a pipeline-comm span of any other name
+};
+constexpr std::size_t kFixedGroups = static_cast<std::size_t>(Group::kNamed);
+
+Group nominal_group(const TraceSpan& sp, const SpanAttrs& at) {
+  using Key = SpanAttrs::Key;
+  if (sp.name == "fwd") return at.has(Key::kHead) ? Group::kFwdHead : Group::kFwd;
+  if (sp.name == "bwd") return at.has(Key::kHead) ? Group::kBwdHead : Group::kBwd;
+  if (sp.tag == "pp-comm") {  // grouped by name: send / recv / recv-wait
+    if (sp.name.empty()) return Group::kNone;
+    if (sp.name == "send") return Group::kSend;
+    if (sp.name == "recv") return Group::kRecv;
+    if (sp.name == "recv-wait") return Group::kRecvWait;
+    if (sp.name == "optimizer") return Group::kOptimizer;
+    if (sp.name == "fwd+head") return Group::kFwdHead;
+    if (sp.name == "bwd+head") return Group::kBwdHead;
+    return Group::kNamed;
   }
-  if (sp.tag == "pp-comm") return sp.name;  // send / recv / recv-wait
-  if (sp.name == "optimizer") return "optimizer";
-  return "";
+  if (sp.name == "optimizer") return Group::kOptimizer;
+  return Group::kNone;
 }
 
 /// Lower value = stronger explanation when two predecessors finish at the
@@ -97,18 +119,27 @@ const char* segment_kind_name(SegmentKind kind) {
 }
 
 StepDiagnosis analyze(const DepGraph& g) {
+  MS_PROF_SCOPE("diag.analyze");
   StepDiagnosis d;
   if (g.empty()) return d;
   d.makespan = g.makespan();
 
   // ---- nominal duration per op group ------------------------------------
-  std::map<std::string, TimeNs> nominal;
+  constexpr TimeNs kUnset = std::numeric_limits<TimeNs>::max();
+  std::vector<Group> group(g.size());
+  std::array<TimeNs, kFixedGroups> fixed;
+  fixed.fill(kUnset);
+  std::map<std::string_view, TimeNs> named;  // Group::kNamed, by span name
+  auto nominal = [&](std::size_t i) -> TimeNs& {
+    return group[i] == Group::kNamed
+               ? named.try_emplace(g.spans()[i].name, kUnset).first->second
+               : fixed[static_cast<std::size_t>(group[i])];
+  };
   for (std::size_t i = 0; i < g.size(); ++i) {
-    const std::string grp = nominal_group(g.spans()[i], g.attrs(i));
-    if (grp.empty()) continue;
-    const TimeNs dur = g.spans()[i].end - g.spans()[i].start;
-    const auto it = nominal.find(grp);
-    if (it == nominal.end() || dur < it->second) nominal[grp] = dur;
+    group[i] = nominal_group(g.spans()[i], g.attrs(i));
+    if (group[i] == Group::kNone) continue;
+    TimeNs& shortest = nominal(i);
+    shortest = std::min(shortest, g.spans()[i].end - g.spans()[i].start);
   }
 
   // ---- backward walk along binding dependencies -------------------------
@@ -166,10 +197,9 @@ StepDiagnosis analyze(const DepGraph& g) {
       cursor = std::max(cursor, sp.end);
       continue;
     }
-    const std::string grp = nominal_group(sp, at);
     const TimeNs dur = sp.end - b;
     TimeNs base = dur;
-    if (!grp.empty()) base = std::min(dur, nominal[grp]);
+    if (group[node] != Group::kNone) base = std::min(dur, nominal(node));
     const TimeNs split = b + base;
 
     if (sp.name == "fwd" || sp.name == "bwd") {
@@ -179,9 +209,10 @@ StepDiagnosis analyze(const DepGraph& g) {
       emit(SegmentKind::kOptimizer, b, split, sp.rank, "", node);
       emit(SegmentKind::kStragglerWait, split, sp.end, sp.rank, "", node);
     } else if (sp.tag == "pp-comm") {
-      const int from = at.num("from", sp.rank);
+      const int from = at.num(SpanAttrs::Key::kFrom, sp.rank);
       const std::string link =
-          std::to_string(from) + "->" + std::to_string(at.num("to", sp.rank));
+          std::to_string(from) + "->" +
+          std::to_string(at.num(SpanAttrs::Key::kTo, sp.rank));
       emit(SegmentKind::kPpComm, b, split, from, link, node);
       emit(SegmentKind::kSlowLink, split, sp.end, from, link, node);
     } else if (sp.tag == "dp-comm") {
@@ -242,8 +273,8 @@ StepDiagnosis analyze(const DepGraph& g) {
   return d;
 }
 
-StepDiagnosis analyze_spans(std::vector<TraceSpan> spans) {
-  return analyze(DepGraph::build(std::move(spans)));
+StepDiagnosis analyze_spans(const std::vector<TraceSpan>& spans) {
+  return analyze(DepGraph::build(spans));
 }
 
 std::string render(const StepDiagnosis& d, std::size_t top_k) {
@@ -346,12 +377,13 @@ std::string diff_report(const StepDiagnosis& base, const StepDiagnosis& cand) {
     who.rank = key.rank;
     who.link = key.link;
     const TimeNs row_delta = totals.second - totals.first;
+    // Appended, not `std::string(..) + ..`: GCC 12 at -O3 raises a false
+    // -Wrestrict inside basic_string::_M_replace on that temporary.
+    std::string delta_cell(row_delta >= 0 ? "+" : "-");
+    delta_cell.append(format_duration(row_delta >= 0 ? row_delta : -row_delta));
     table.add_row({blame_who(who), segment_kind_name(key.cause),
                    format_duration(totals.first),
-                   format_duration(totals.second),
-                   std::string(row_delta >= 0 ? "+" : "-") +
-                       format_duration(row_delta >= 0 ? row_delta
-                                                      : -row_delta)});
+                   format_duration(totals.second), delta_cell});
   }
   out << table.to_string();
   return out.str();

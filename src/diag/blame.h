@@ -70,8 +70,9 @@ struct StepDiagnosis {
 
 /// Runs the critical-path walk + blame aggregation over a built DepGraph.
 StepDiagnosis analyze(const DepGraph& graph);
-/// Convenience: build the graph from raw spans, then analyze.
-StepDiagnosis analyze_spans(std::vector<TraceSpan> spans);
+/// Convenience: build the graph over `spans` (borrowed, not copied), then
+/// analyze.
+StepDiagnosis analyze_spans(const std::vector<TraceSpan>& spans);
 
 /// Human-readable report: breakdown table + top-k blame table.
 std::string render(const StepDiagnosis& d, std::size_t top_k = 5);

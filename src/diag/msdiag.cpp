@@ -22,8 +22,10 @@ bool load_spans(const std::string& path, std::vector<TraceSpan>& spans,
     err << "msdiag: cannot read " << path << '\n';
     return false;
   }
-  if (!parse_trace_jsonl(text, spans)) {
-    err << "msdiag: malformed trace artifact " << path << '\n';
+  std::string where;
+  if (!parse_trace_jsonl(text, spans, &where)) {
+    err << "msdiag: malformed trace artifact " << path << ": " << where
+        << '\n';
     return false;
   }
   if (spans.empty()) {
@@ -45,22 +47,22 @@ int cmd_analyze(const std::vector<std::string>& args, std::ostream& out,
   if (!parser.parse(args, err)) return 1;
   std::vector<TraceSpan> spans;
   if (!load_spans(path, spans, err)) return 1;
-  const StepDiagnosis d = analyze_spans(std::move(spans));
+  const StepDiagnosis d = analyze_spans(spans);
   out << (as_json ? diagnosis_json(d) + "\n" : render(d, top_k));
   return 0;
 }
 
 int cmd_diff(const std::vector<std::string>& args, std::ostream& out,
              std::ostream& err) {
-  if (args.size() != 2) {
-    err << msdiag_usage();
-    return 1;
-  }
+  std::string base_path, cand_path;
+  cli::Parser parser("msdiag diff", msdiag_usage());
+  parser.positional("<base.jsonl>", base_path)
+      .positional("<cand.jsonl>", cand_path);
+  if (!parser.parse(args, err)) return 1;
   std::vector<TraceSpan> base_spans, cand_spans;
-  if (!load_spans(args[0], base_spans, err)) return 1;
-  if (!load_spans(args[1], cand_spans, err)) return 1;
-  out << diff_report(analyze_spans(std::move(base_spans)),
-                     analyze_spans(std::move(cand_spans)));
+  if (!load_spans(base_path, base_spans, err)) return 1;
+  if (!load_spans(cand_path, cand_spans, err)) return 1;
+  out << diff_report(analyze_spans(base_spans), analyze_spans(cand_spans));
   return 0;
 }
 
@@ -119,12 +121,12 @@ int cmd_flight(const std::vector<std::string>& args, std::ostream& out,
 
 int cmd_export(const std::vector<std::string>& args, std::ostream& out,
                std::ostream& err) {
-  if (args.size() != 2) {
-    err << msdiag_usage();
-    return 1;
-  }
+  std::string path, out_path;
+  cli::Parser parser("msdiag export", msdiag_usage());
+  parser.positional("<trace.jsonl>", path).positional("<out.json>", out_path);
+  if (!parser.parse(args, err)) return 1;
   std::vector<TraceSpan> spans;
-  if (!load_spans(args[0], spans, err)) return 1;
+  if (!load_spans(path, spans, err)) return 1;
   const DepGraph graph = DepGraph::build(spans);
   const StepDiagnosis d = analyze(graph);
   // Mark critical-path spans so the viewer can highlight them.
@@ -141,11 +143,11 @@ int cmd_export(const std::vector<std::string>& args, std::ostream& out,
     }
     trace.add(std::move(s));
   }
-  if (!write_text_file(args[1], trace.chrome_trace_json())) {
-    err << "msdiag: cannot write " << args[1] << '\n';
+  if (!write_text_file(out_path, trace.chrome_trace_json())) {
+    err << "msdiag: cannot write " << out_path << '\n';
     return 1;
   }
-  out << "wrote annotated Perfetto trace: " << args[1] << " ("
+  out << "wrote annotated Perfetto trace: " << out_path << " ("
       << spans.size() << " spans, " << d.path.size()
       << " critical-path segments)\n";
   return 0;

@@ -7,12 +7,16 @@
 #include <ostream>
 
 #include "bench/common.h"
+#include "calib/calibrate_cli.h"
+#include "calib/fit.h"
+#include "calib/ingest.h"
 #include "core/cli.h"
 #include "core/rng.h"
 #include "core/table.h"
 #include "core/time.h"
 #include "core/wallclock.h"
 #include "diag/artifact.h"
+#include "diag/blame.h"
 #include "engine/job.h"
 #include "ft/workflow.h"
 #include "net/ccsim.h"
@@ -26,6 +30,7 @@
 #include "telemetry/ledger.h"
 #include "telemetry/metrics.h"
 #include "telemetry/sketch.h"
+#include "telemetry/trace.h"
 
 namespace ms::prof {
 
@@ -225,6 +230,28 @@ WorkloadResult run_cc_storm() {
   return {};
 }
 
+WorkloadResult run_trace_diagnose() {
+  MS_PROF_SCOPE("trace_diagnose.answer");
+  // The sec43 gauntlet's straggler fixture: stage 3 runs at half speed.
+  engine::JobConfig cfg = calib::demo_config();
+  cfg.stage_speed.assign(static_cast<std::size_t>(cfg.par.pp), 1.0);
+  cfg.stage_speed[3] = 2.0;
+  telemetry::Tracer tracer;
+  cfg.tracer = &tracer;
+  (void)engine::simulate_iteration(cfg);
+  std::string text;
+  {
+    MS_PROF_SCOPE("trace_diagnose.export");
+    text = telemetry::jsonl_spans(tracer.spans());
+  }
+  calib::IngestResult ingested;
+  std::string error;
+  if (!calib::ingest_trace(text, ingested, error)) return {};
+  (void)diag::analyze_spans(ingested.spans);
+  (void)calib::fit_trace(ingested.spans, calib::demo_config());
+  return {};
+}
+
 namespace {
 
 struct Workload {
@@ -237,6 +264,7 @@ constexpr Workload kWorkloads[] = {
     {"fig11_step", run_fig11_step},
     {"fig11_production_run", run_fig11_production},
     {"cc_storm", run_cc_storm},
+    {"trace_diagnose", run_trace_diagnose},
 };
 
 }  // namespace

@@ -73,6 +73,12 @@ WorkloadResult run_fig11_production();
 /// thresholds, then the 16-sender victim chain under a fabric observatory.
 WorkloadResult run_cc_storm();
 
+/// The post-mortem of one traced step (perfbench's `trace_diagnose`
+/// answer): the sec43 175B tp8 pp8 vpp6 dp4 fixture with a 2x straggler on
+/// stage 3, exported as span JSONL, read back (calib.ingest), blamed
+/// (diag.depgraph, diag.analyze) and fitted (calib.fit).
+WorkloadResult run_trace_diagnose();
+
 /// Names accepted by run_workload / `msprof run` / `msprof overhead`.
 std::vector<std::string> workload_names();
 

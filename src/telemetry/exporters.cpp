@@ -1,6 +1,8 @@
 #include "telemetry/exporters.h"
 
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 
@@ -142,17 +144,37 @@ std::string jsonl_metrics(const MetricsSnapshot& snapshot) {
 }
 
 std::string jsonl_spans(const std::vector<diag::TraceSpan>& spans) {
-  std::ostringstream out;
+  // One reserved buffer: ~110 bytes of keys and numbers per line plus the
+  // strings, which only grow when they need escapes.
+  std::size_t bytes = 0;
   for (const auto& s : spans) {
-    out << "{\"type\":\"span\",\"rank\":" << s.rank << ",\"name\":\""
-        << json::escape(s.name) << "\",\"tag\":\"" << json::escape(s.tag)
-        << "\",\"start_ns\":" << s.start << ",\"end_ns\":" << s.end;
-    if (!s.detail.empty()) {
-      out << ",\"detail\":\"" << json::escape(s.detail) << '"';
-    }
-    out << "}\n";
+    bytes += 112 + s.name.size() + s.tag.size() + s.detail.size();
   }
-  return out.str();
+  std::string out;
+  out.reserve(bytes);
+  auto append_int = [&out](std::int64_t v) {
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+  };
+  for (const auto& s : spans) {
+    out += "{\"type\":\"span\",\"rank\":";
+    append_int(s.rank);
+    out += ",\"name\":\"";
+    json::escape(out, s.name);
+    out += "\",\"tag\":\"";
+    json::escape(out, s.tag);
+    out += "\",\"start_ns\":";
+    append_int(s.start);
+    out += ",\"end_ns\":";
+    append_int(s.end);
+    if (!s.detail.empty()) {
+      out += ",\"detail\":\"";
+      json::escape(out, s.detail);
+      out += '"';
+    }
+    out += "}\n";
+  }
+  return out;
 }
 
 std::string chrome_trace(const Tracer& tracer) {

@@ -564,13 +564,17 @@ bool load_ledger(const std::string& path, LedgerSeries& series,
 int ledger_main(const std::vector<std::string>& args, std::ostream& out,
                 std::ostream& err) {
   if (!args.empty() && args[0] == "--diff") {
-    if (args.size() != 3) {
-      err << "usage:\n" << ledger_usage();
+    std::string base_path, cand_path;
+    cli::Parser parser("msdiag ledger --diff", "usage:\n" + ledger_usage());
+    parser.positional("<base.jsonl>", base_path)
+        .positional("<cand.jsonl>", cand_path);
+    if (!parser.parse(std::vector<std::string>(args.begin() + 1, args.end()),
+                      err)) {
       return 1;
     }
     LedgerSeries base, cand;
-    if (!load_ledger(args[1], base, err)) return 1;
-    if (!load_ledger(args[2], cand, err)) return 1;
+    if (!load_ledger(base_path, base, err)) return 1;
+    if (!load_ledger(cand_path, cand, err)) return 1;
     out << ledger_diff(base, cand);
     return 0;
   }

@@ -199,6 +199,18 @@ TEST(CalibIngest, MalformedChromeTraceNamesTheOffset) {
   EXPECT_NE(error.find("at byte"), std::string::npos) << error;
 }
 
+TEST(CalibIngest, MalformedSpanJsonlNamesTheLine) {
+  calib::IngestResult result;
+  std::string error;
+  EXPECT_FALSE(calib::ingest_trace(
+      "{\"type\":\"span\",\"rank\":0}\n{\"type\":\"span\",\"rank\":Infinity}\n",
+      result, error));
+  EXPECT_EQ(error, "malformed span JSONL: line 2: rank out of range at byte 22");
+  EXPECT_FALSE(calib::ingest_trace("{\"type\":\"span\"}\n{\"type\":", result,
+                                   error));
+  EXPECT_EQ(error, "malformed span JSONL: line 2: malformed JSON at byte 8");
+}
+
 TEST(CalibIngest, ChromeTraceToleratesKinetoQuirks) {
   // String pids, metadata/instant/counter events, a NaN counter value, a
   // B/E pair, fractional-us timestamps, a missing dur, an unknown phase,

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -51,15 +52,17 @@ std::string temp_path(const std::string& name) {
 
 // ------------------------------------------------------------- SpanAttrs
 
+using Key = diag::SpanAttrs::Key;
+
 TEST(SpanAttrs, ParsesKeyValueTokens) {
   const diag::SpanAttrs a("s=3 c=1 mb=12 p=b head=1 grp=dp");
-  EXPECT_EQ(a.num("s"), 3);
-  EXPECT_EQ(a.num("mb"), 12);
-  EXPECT_EQ(a.text("p"), "b");
-  EXPECT_TRUE(a.has("head"));
-  EXPECT_FALSE(a.has("stream"));
-  EXPECT_EQ(a.num("missing", -7), -7);
-  EXPECT_EQ(a.text("missing", "x"), "x");
+  EXPECT_EQ(a.num(Key::kStage), 3);
+  EXPECT_EQ(a.num(Key::kMicrobatch), 12);
+  EXPECT_EQ(a.text(Key::kPass), "b");
+  EXPECT_TRUE(a.has(Key::kHead));
+  EXPECT_FALSE(a.has(Key::kStream));
+  EXPECT_EQ(a.num(Key::kFrom, -7), -7);
+  EXPECT_EQ(a.text(Key::kOp), "");
 }
 
 // The engine's typed attributes render to exactly the grammar SpanAttrs
@@ -77,19 +80,19 @@ TEST(SpanAttrs, ParsesWhatTheEngineRenders) {
                                       .mb = 12});
   EXPECT_EQ(compute, "s=3 c=1 mb=12 p=b head=1");
   const diag::SpanAttrs c(compute);
-  EXPECT_EQ(c.num("s"), 3);
-  EXPECT_EQ(c.num("c"), 1);
-  EXPECT_EQ(c.num("mb"), 12);
-  EXPECT_EQ(c.text("p"), "b");
+  EXPECT_EQ(c.num(Key::kStage), 3);
+  EXPECT_EQ(c.num(Key::kChunk), 1);
+  EXPECT_EQ(c.num(Key::kMicrobatch), 12);
+  EXPECT_EQ(c.text(Key::kPass), "b");
 
   const std::string transfer =
       render({.shape = Shape::kTransfer, .chunk = 2, .mb = 5, .from = 0,
               .to = 1, .prod_chunk = 2, .bytes = 4096});
   EXPECT_EQ(transfer, "p=f mb=5 from=0 to=1 c=2 pc=2 B=4096");
   const diag::SpanAttrs t(transfer);
-  EXPECT_EQ(t.num("from"), 0);
-  EXPECT_EQ(t.num("to"), 1);
-  EXPECT_EQ(t.num("B"), 4096);
+  EXPECT_EQ(t.num(Key::kFrom), 0);
+  EXPECT_EQ(t.num(Key::kTo), 1);
+  EXPECT_EQ(t.num(Key::kBytes), 4096);
 
   EXPECT_EQ(render({.shape = Shape::kCollective, .coll = Coll::kAllGather,
                     .stage = 2, .chunk = 0, .n = 4, .calls = 2,
@@ -353,6 +356,68 @@ TEST(Artifact, TraceJsonlRoundTripPreservesSpans) {
   }
 }
 
+// json::parse accepts NaN, Infinity and any magnitude; a span must still
+// hold its rank in an int and its times in TimeNs, so such a line fails the
+// load, naming the line and the value's byte offset.
+bool reject(const std::string& text, std::string& error) {
+  std::vector<diag::TraceSpan> spans{{}};
+  const bool ok = diag::parse_trace_jsonl(text, spans, &error);
+  EXPECT_EQ(spans.size(), 1u) << "a failed load leaves `out` untouched";
+  return !ok;
+}
+const std::string kGoodLine =
+    "{\"type\":\"span\",\"rank\":1,\"name\":\"fwd\",\"start_ns\":0,"
+    "\"end_ns\":5}\n";
+
+TEST(Artifact, RejectsNanRank) {
+  std::string error;
+  EXPECT_TRUE(reject(kGoodLine + "{\"type\":\"span\",\"rank\":NaN}\n", error));
+  EXPECT_EQ(error, "line 2: rank out of range at byte 22");
+}
+
+TEST(Artifact, RejectsRankBeyondInt) {
+  std::string error;
+  EXPECT_TRUE(reject("{\"type\":\"span\",\"rank\":3e9}", error));
+  EXPECT_EQ(error, "line 1: rank out of range at byte 22");
+  EXPECT_TRUE(reject("{\"type\":\"span\",\"rank\":-2147483649}", error));
+}
+
+TEST(Artifact, RejectsInfiniteStart) {
+  std::string error;
+  EXPECT_TRUE(reject("{\"type\":\"span\",\"start_ns\":Infinity}", error));
+  EXPECT_EQ(error, "line 1: start_ns out of range at byte 26");
+}
+
+TEST(Artifact, RejectsEndBeyondTimeNs) {
+  std::string error;
+  EXPECT_TRUE(reject("{\"type\":\"span\",\"end_ns\":-1e19}", error));
+  EXPECT_EQ(error, "line 1: end_ns out of range at byte 24");
+  EXPECT_TRUE(reject("{\"type\":\"span\",\"end_ns\":-Infinity}", error));
+}
+
+TEST(Artifact, InRangeValuesTruncateAndNonSpanLinesAreNotChecked) {
+  std::vector<diag::TraceSpan> spans;
+  ASSERT_TRUE(diag::parse_trace_jsonl(
+      "{\"type\":\"counter\",\"rank\":NaN,\"value\":Infinity}\n"
+      "{\"type\":\"span\",\"rank\":-2147483648.9,\"start_ns\":2.9,"
+      "\"end_ns\":-9223372036854775808}\n",
+      spans));
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].rank, -2147483647 - 1);
+  EXPECT_EQ(spans[0].start, 2);
+  EXPECT_EQ(spans[0].end, std::numeric_limits<TimeNs>::min());
+}
+
+TEST(Artifact, MalformedJsonNamesLineAndByte) {
+  std::string error;
+  EXPECT_TRUE(reject(kGoodLine + "\n{\"type\":\"span\",\"rank\":}\n", error));
+  EXPECT_EQ(error, "line 3: malformed JSON at byte 22");
+  EXPECT_TRUE(reject(kGoodLine + "   \r\n", error));
+  EXPECT_EQ(error, "line 2: expected a JSON object at byte 4");
+  EXPECT_TRUE(reject("{\"type\":\"span\"} x", error));
+  EXPECT_EQ(error, "line 1: trailing characters at byte 16");
+}
+
 TEST(Artifact, WriteCreatesParentDirectories) {
   const std::string path = temp_path("diag_artifact_sub/dir/trace.jsonl");
   ASSERT_TRUE(diag::write_text_file(path, "hello\n"));
@@ -439,6 +504,43 @@ TEST_F(MsdiagTest, BadInvocationsFailWithUsage) {
   EXPECT_EQ(run({"frobnicate"}), 1);
   EXPECT_EQ(run({"analyze", temp_path("msdiag_missing.jsonl")}), 1);
   EXPECT_EQ(run({"diff", temp_path("msdiag_missing.jsonl")}), 1);
+}
+
+TEST_F(MsdiagTest, MalformedTraceNamesTheLine) {
+  const std::string path = temp_path("msdiag_nan.jsonl");
+  ASSERT_TRUE(diag::write_text_file(
+      path, "{\"type\":\"span\",\"name\":\"fwd\",\"start_ns\":NaN}\n"));
+  for (const char* cmd : {"analyze", "diff", "export"}) {
+    std::vector<std::string> args{cmd, path};
+    if (std::string(cmd) != "analyze") args.push_back(path);
+    EXPECT_EQ(run(args), 1) << cmd;
+    EXPECT_NE(err.str().find("malformed trace artifact " + path +
+                             ": line 1: start_ns out of range at byte 39"),
+              std::string::npos)
+        << cmd << ": " << err.str();
+  }
+}
+
+TEST_F(MsdiagTest, DiffAndExportNameAnUnknownFlag) {
+  // Both used to take their paths straight from argv, so "--json" was
+  // read as a file name ("cannot read --json").
+  EXPECT_EQ(run({"diff", "--json", "base.jsonl"}), 1);
+  EXPECT_NE(err.str().find("msdiag diff: unknown flag --json"),
+            std::string::npos)
+      << err.str();
+  EXPECT_EQ(run({"export", "trace.jsonl", "--out", "x.json"}), 1);
+  EXPECT_NE(err.str().find("msdiag export: unknown flag --out"),
+            std::string::npos)
+      << err.str();
+  EXPECT_EQ(run({"diff", "a.jsonl", "b.jsonl", "c.jsonl"}), 1);
+  EXPECT_NE(err.str().find("unexpected argument \"c.jsonl\""),
+            std::string::npos);
+  EXPECT_EQ(run({"export", "trace.jsonl"}), 1);
+  EXPECT_NE(err.str().find("msdiag export: missing <out.json>"),
+            std::string::npos)
+      << err.str();
+  EXPECT_EQ(err.str().find("cannot read"), std::string::npos);
+  EXPECT_TRUE(out.str().empty());
 }
 
 TEST_F(MsdiagTest, MissingOrMalformedFlagValuesNameTheFlag) {

@@ -283,6 +283,22 @@ TEST_F(LedgerCliTest, UnknownFlagOrSurplusPathFails) {
   EXPECT_TRUE(out.str().empty() && out2.str().empty());
 }
 
+TEST_F(LedgerCliTest, DiffNamesAnUnknownFlag) {
+  // `--diff` used to take its two paths straight from argv, so a flag was
+  // read as a file name ("cannot read --json").
+  std::ostringstream out, err;
+  EXPECT_EQ(ledger_main({"--diff", "--json", path_}, out, err), 1);
+  EXPECT_NE(err.str().find("msdiag ledger --diff: unknown flag --json"),
+            std::string::npos)
+      << err.str();
+  EXPECT_EQ(err.str().find("cannot read"), std::string::npos);
+  std::ostringstream out2, err2;
+  EXPECT_EQ(ledger_main({"--diff", path_}, out2, err2), 1);
+  EXPECT_NE(err2.str().find("missing <cand.jsonl>"), std::string::npos)
+      << err2.str();
+  EXPECT_TRUE(out.str().empty() && out2.str().empty());
+}
+
 TEST_F(LedgerCliTest, UsageOnNoArgs) {
   std::ostringstream out, err;
   EXPECT_NE(ledger_main({}, out, err), 0);

@@ -485,6 +485,29 @@ TEST_F(ProfTest, RunWorkloadByName) {
   EXPECT_TRUE(saw_build);
 }
 
+TEST_F(ProfTest, TraceDiagnoseFiresEachPostMortemScopeOnce) {
+  const auto names = workload_names();
+  EXPECT_NE(std::find(names.begin(), names.end(), "trace_diagnose"),
+            names.end());
+  reset();
+  set_enabled(true);
+  WorkloadResult result;
+  EXPECT_TRUE(run_workload("trace_diagnose", result));
+  set_enabled(false);
+#if defined(MS_PROF_ENABLED) && MS_PROF_ENABLED
+  // Read back (calib.ingest), blamed (diag.depgraph, then diag.analyze)
+  // and fitted (calib.fit): each layer of the post-mortem exactly once.
+  for (const char* scope :
+       {"calib.ingest", "diag.depgraph", "diag.analyze", "calib.fit"}) {
+    std::uint64_t count = 0;
+    for (const auto& s : snapshot()) {
+      if (s.name == scope) count = s.count;
+    }
+    EXPECT_EQ(count, 1u) << scope;
+  }
+#endif
+}
+
 // ------------------------------------------------------------ msprof CLI
 
 int run_cli(const std::vector<std::string>& args, std::string* out_text =
